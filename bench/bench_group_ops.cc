@@ -1,13 +1,17 @@
 // Group-operation microbenchmarks across every registered group: the raw
 // costs the protocol layers are built on. For each group: generic Exp,
 // comb fixed-base Exp (the Pedersen/verifier path), wNAF and Pippenger MSM
-// per-term cost, plain group Mul, and (batch) encoding. One table makes the
-// comb and kernel speedups visible per group, and the committed
-// BENCH_group_ops.json baseline plus the CI artifact keep them trended.
+// per-term cost, plain group Mul, (batch) encoding, strict Decode of a member
+// encoding (the public auditor's per-element cost), and the field square root
+// inside that decode. One table makes the comb and kernel speedups visible
+// per group, and the committed BENCH_group_ops.json baseline plus the CI
+// artifact keep them trended.
 //
 // Usage: bench_group_ops [out.json]   (default BENCH_group_ops.json)
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/batch/msm.h"
@@ -44,6 +48,8 @@ struct GroupRow {
   double mul_us = 0;
   double encode_us = 0;
   double encode_batch_us = 0;  // per element, batch of 256
+  double decode_us = 0;        // strict Decode (range + subgroup) of a member
+  double sqrt_us = -1;         // field square root in Decode; < 0: none
 };
 
 template <vdp::PrimeOrderGroup G>
@@ -130,8 +136,32 @@ GroupRow Measure() {
   row.encode_batch_us = timer.ElapsedMillis() * 1000.0 / batch.size();
   enc_bytes += encoded.size();
 
+  timer.Reset();
+  size_t decoded = 0;
+  for (size_t i = 0; i < reps; ++i) {
+    decoded += G::Decode(encoded[i % encoded.size()]).has_value() ? 1 : 0;
+  }
+  row.decode_us = timer.ElapsedMillis() * 1000.0 / reps;
+
+  // Only ed25519's Decode takes a square root (decompression); mod-p and
+  // Schnorr elements are checked by e^q == 1, which exp_generic_us covers.
+  if constexpr (std::is_same_v<G, vdp::Ed25519Group>) {
+    std::vector<vdp::Fe25519> squares;
+    for (size_t i = 0; i < 64; ++i) {
+      auto enc = vdp::Fe25519::FromBytes(rng.RandomBytes(32));
+      if (enc.has_value()) {
+        squares.push_back(vdp::Fe25519::Square(*enc));
+      }
+    }
+    timer.Reset();
+    for (size_t i = 0; i < reps; ++i) {
+      decoded += squares[i % squares.size()].Sqrt().has_value() ? 1 : 0;
+    }
+    row.sqrt_us = timer.ElapsedMillis() * 1000.0 / reps;
+  }
+
   // Keep the accumulators alive so nothing is optimized away.
-  if (G::Encode(sink).empty() || enc_bytes == 0) {
+  if (G::Encode(sink).empty() || enc_bytes == 0 || decoded == 0) {
     std::fprintf(stderr, "impossible: empty encoding\n");
   }
   return row;
@@ -148,14 +178,19 @@ int main(int argc, char** argv) {
     rows.push_back(Measure<G>());
   });
 
-  std::printf("\n%-18s %6s %12s %12s %12s %12s %10s %10s %10s\n", "group", "bits",
-              "exp(us)", "comb(us)", "wnaf/t(us)", "pip/t(us)", "mul(us)", "enc(us)",
-              "encB(us)");
+  std::printf("\n%-18s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s\n", "group",
+              "bits", "exp(us)", "comb(us)", "wnaf/t(us)", "pip/t(us)", "mul(us)", "enc(us)",
+              "encB(us)", "dec(us)", "sqrt(us)");
   for (const auto& r : rows) {
-    std::printf("%-18s %6zu %12.2f %12.2f %12.2f %12.2f %10.3f %10.3f %10.3f\n",
+    std::printf("%-18s %6zu %12.2f %12.2f %12.2f %12.2f %10.3f %10.3f %10.3f %10.2f ",
                 r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us,
                 r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us, r.mul_us, r.encode_us,
-                r.encode_batch_us);
+                r.encode_batch_us, r.decode_us);
+    if (r.sqrt_us < 0) {
+      std::printf("%10s\n", "-");
+    } else {
+      std::printf("%10.2f\n", r.sqrt_us);
+    }
   }
 
   FILE* f = std::fopen(out.c_str(), "w");
@@ -163,17 +198,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"group_ops\",\n  \"results\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"group_ops\",\n  \"hardware_concurrency\": %u,\n"
+               "  \"results\": [\n",
+               std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
+    char sqrt_buf[32];
+    std::snprintf(sqrt_buf, sizeof(sqrt_buf), "%.3f", r.sqrt_us);
+    const std::string sqrt_json = r.sqrt_us < 0 ? "null" : sqrt_buf;
     std::fprintf(f,
                  "    {\"group\": \"%s\", \"order_bits\": %zu, \"exp_generic_us\": %.3f, "
                  "\"exp_comb_us\": %.3f, \"table_build_ms\": %.3f, "
                  "\"msm_wnaf_per_term_us\": %.3f, \"msm_pippenger_per_term_us\": %.3f, "
-                 "\"mul_us\": %.4f, \"encode_us\": %.4f, \"encode_batch_us\": %.4f}%s\n",
+                 "\"mul_us\": %.4f, \"encode_us\": %.4f, \"encode_batch_us\": %.4f, "
+                 "\"decode_us\": %.3f, \"sqrt_us\": %s}%s\n",
                  r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us,
                  r.table_build_ms, r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us,
-                 r.mul_us, r.encode_us, r.encode_batch_us, i + 1 < rows.size() ? "," : "");
+                 r.mul_us, r.encode_us, r.encode_batch_us, r.decode_us, sqrt_json.c_str(),
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -66,6 +66,14 @@ std::optional<Bytes> Reader::Blob() {
   return Raw(*len);
 }
 
+std::optional<uint32_t> Reader::Count(size_t min_entry_bytes) {
+  auto n = U32();
+  if (!n.has_value() || *n > remaining() / min_entry_bytes) {
+    return std::nullopt;
+  }
+  return n;
+}
+
 std::optional<Bytes> Reader::Raw(size_t len) {
   if (remaining() < len) {
     return std::nullopt;

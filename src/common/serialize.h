@@ -30,6 +30,9 @@ class Writer {
 
 class Reader {
  public:
+  // Smallest encoding of one Blob: its u32 length prefix.
+  static constexpr size_t kMinBlobBytes = 4;
+
   explicit Reader(BytesView data) : data_(data) {}
 
   std::optional<uint8_t> U8();
@@ -37,6 +40,11 @@ class Reader {
   std::optional<uint64_t> U64();
   std::optional<Bytes> Blob();
   std::optional<Bytes> Raw(size_t len);
+  // A u32 entry count, rejected unless the remaining bytes could hold that
+  // many entries of at least min_entry_bytes each. Parsers read every
+  // attacker-chosen count through this before allocating or looping, so a
+  // short input claiming 2^32 - 1 entries fails fast.
+  std::optional<uint32_t> Count(size_t min_entry_bytes);
 
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }

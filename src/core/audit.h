@@ -40,11 +40,17 @@ Bytes SerializeTranscript(const PublicTranscript<G>& t) {
   return w.Take();
 }
 
+// Every count in the transcript is attacker-chosen; each is read through
+// Reader::Count with the smallest encoding of one entry, so the parser never
+// allocates or loops beyond what the input bytes could actually describe.
 template <PrimeOrderGroup G>
 std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data) {
+  constexpr size_t kMinProverBytes = 4 + Reader::kMinBlobBytes;  // bins + output
+  constexpr size_t kMinBinBytes = 4;                              // nb
+  constexpr size_t kMinCoinBytes = 2 * Reader::kMinBlobBytes + 1;  // c, proof, bit
   Reader r(data);
   PublicTranscript<G> t;
-  auto n = r.U32();
+  auto n = r.Count(Reader::kMinBlobBytes);
   if (!n) {
     return std::nullopt;
   }
@@ -59,12 +65,12 @@ std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data) {
     }
     t.client_uploads.push_back(std::move(*upload));
   }
-  auto k = r.U32();
+  auto k = r.Count(kMinProverBytes);
   if (!k) {
     return std::nullopt;
   }
   for (uint32_t p = 0; p < *k; ++p) {
-    auto bins = r.U32();
+    auto bins = r.Count(kMinBinBytes);
     if (!bins) {
       return std::nullopt;
     }
@@ -74,7 +80,7 @@ std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data) {
     coins.coin_proofs.resize(*bins);
     bits.resize(*bins);
     for (uint32_t bin = 0; bin < *bins; ++bin) {
-      auto nb = r.U32();
+      auto nb = r.Count(kMinCoinBytes);
       if (!nb) {
         return std::nullopt;
       }

@@ -92,7 +92,12 @@ struct ClientUploadMsg {
     Reader r(data);
     auto k = r.U32();
     auto m = r.U32();
-    if (!k || !m) {
+    // Bound the [k][m] commitment matrix by the bytes left (one blob per
+    // entry) before allocating its rows. Rows without columns would cost no
+    // bytes at all, so that shape -- never produced for a valid config,
+    // which has at least one bin -- is rejected outright.
+    if (!k || !m || (*m == 0 && *k != 0) ||
+        uint64_t{*k} * *m > r.remaining() / Reader::kMinBlobBytes) {
       return std::nullopt;
     }
     ClientUploadMsg msg;
@@ -110,7 +115,7 @@ struct ClientUploadMsg {
         msg.commitments[i].push_back(*e);
       }
     }
-    auto proof_count = r.U32();
+    auto proof_count = r.Count(Reader::kMinBlobBytes);
     if (!proof_count) {
       return std::nullopt;
     }

@@ -27,16 +27,6 @@ bool PointsEqual(const GePoint& a, const GePoint& b) {
          Fe25519::Mul(a.y, b.z) == Fe25519::Mul(b.y, a.z);
 }
 
-bool OnCurve(const Fe25519& x, const Fe25519& y) {
-  // -x^2 + y^2 == 1 + d x^2 y^2
-  Fe25519 xx = Fe25519::Square(x);
-  Fe25519 yy = Fe25519::Square(y);
-  Fe25519 lhs = Fe25519::Sub(yy, xx);
-  Fe25519 rhs = Fe25519::Add(Fe25519::One(),
-                             Fe25519::Mul(Ed25519Group::D(), Fe25519::Mul(xx, yy)));
-  return lhs == rhs;
-}
-
 // Readdable projective point: (y+x, y-x, z, 2dT). Mixed addition against this
 // form costs 8M and needs no normalization, so it serves as the per-call
 // precomputation of variable-base ScalarMult.
@@ -69,6 +59,87 @@ GePoint AddCached(const GePoint& p, const GeCached& q) {
   r.z = Fe25519::Mul(f, g);
   r.t = Fe25519::Mul(e, h);
   return r;
+}
+
+// Subgroup membership by point halving. E(F_p) = Z/8 x Z/l, so P lies in
+// the order-l subgroup iff P = 8R for some rational R, i.e. iff P can be
+// halved three times without leaving F_p. On the birationally equivalent
+// Montgomery curve v^2 = u^3 + A u^2 + u (A = 486662):
+//   - a point P with u != 0 lies in 2E iff u^2 + A u + 1 = v^2 / u is a
+//     square (q = sqrt of it);
+//   - the halves of P have u-coordinates w with w + 1/w = s, s in
+//     {2u + 2q, 2u - 2q}; exactly one s has s^2 - 4 square (the product of
+//     the two candidates is 16 u^2 (A^2 - 4) and A^2 - 4 is a non-square),
+//     and w = (s + sqrt(s^2 - 4)) / 2 is then the u-coordinate of a rational
+//     half (w and 1/w name the two halves that differ by (0, 0));
+//   - (w + 1)^2 = w (s + 2), so at the last level only chi(s + 2) is needed,
+//     and that folds into a single Legendre symbol.
+// Every value is a fraction over a shared denominator z, so no inversion is
+// needed: 4 exponentiations instead of the ~252 doublings of [l]P. The
+// inputs are u = un / z with un, z != 0 (x != 0 has been ruled out).
+bool HalvesThreeTimes(Fe25519 un, Fe25519 z) {
+  static const Fe25519 kA = Fe25519::FromU64(486662);
+  static const Fe25519 kAA4 =  // A^2 - 4, a non-square
+      Fe25519::Sub(Fe25519::Square(kA), Fe25519::FromU64(4));
+  // sqrt((A^2 - 4) * eps) for eps = sqrt(-1) and -sqrt(-1); both are
+  // squares because sqrt(-1) is itself a non-square for this p.
+  static const Fe25519 kRootPlus = *Fe25519::Mul(kAA4, Fe25519::SqrtM1()).Sqrt();
+  static const Fe25519 kRootMinus =
+      *Fe25519::Neg(Fe25519::Mul(kAA4, Fe25519::SqrtM1())).Sqrt();
+
+  // Level 1: P in 2E, then one rational half w = wn / z.
+  auto q = Fe25519::Add(Fe25519::Add(Fe25519::Square(un), Fe25519::Square(z)),
+                        Fe25519::Mul(kA, Fe25519::Mul(un, z)))
+               .Sqrt();
+  if (!q.has_value()) {
+    return false;
+  }
+  // Try s = 2(un + q) / z: s^2 - 4 = 4m / z^2 with m = (un + q)^2 - z^2.
+  // One exponentiation beta = m^((p+3)/8) either roots m (beta^2 = +-m) or,
+  // when m is a non-square (beta^2 = eps * m, eps = +-sqrt(-1)), roots the
+  // other candidate: m' = un^2 z^2 (A^2 - 4) / m, so
+  // sqrt(m') = un z sqrt((A^2 - 4) eps) / beta, and the 1/beta moves into
+  // the shared denominator.
+  Fe25519 s = Fe25519::Add(un, *q);
+  Fe25519 m = Fe25519::Sub(Fe25519::Square(s), Fe25519::Square(z));
+  Fe25519 beta = Fe25519::Mul(m, m.PowP58());
+  Fe25519 beta2 = Fe25519::Square(beta);
+  Fe25519 wn;
+  if (beta2 == m) {
+    wn = Fe25519::Add(s, beta);
+  } else if (beta2 == Fe25519::Neg(m)) {
+    wn = Fe25519::Add(s, Fe25519::Mul(beta, Fe25519::SqrtM1()));
+  } else {
+    // m != 0, so m^((p-1)/4) is a fourth root of unity: here +-sqrt(-1).
+    const Fe25519& root = beta2 == Fe25519::Mul(Fe25519::SqrtM1(), m) ? kRootPlus : kRootMinus;
+    Fe25519 s_other = Fe25519::Sub(un, *q);
+    wn = Fe25519::Add(Fe25519::Mul(beta, s_other), Fe25519::Mul(Fe25519::Mul(un, z), root));
+    z = Fe25519::Mul(beta, z);
+  }
+  // The roots of w^2 - s w + 1 multiply to 1, so w = 0 cannot come out of a
+  // curve point; it is still rejected, as it would make level 2 vacuous.
+  if (wn.IsZero()) {
+    return false;
+  }
+
+  // Level 2: the half is in 2E.
+  auto q2 = Fe25519::Add(Fe25519::Add(Fe25519::Square(wn), Fe25519::Square(z)),
+                         Fe25519::Mul(kA, Fe25519::Mul(wn, z)))
+                .Sqrt();
+  if (!q2.has_value()) {
+    return false;
+  }
+
+  // Level 3: the rational quarter w' is a square, i.e. chi(s' + 2) = 1 for
+  // the s' whose s'^2 - 4 is a square. Take s' = 2 s1 / z, s1 = wn + q2. If
+  // s' is that root, the test is chi(s'^2 - 4) = chi(s' + 2) = 1; if the
+  // other root s'' is, then chi(s'^2 - 4) = -1 and
+  // chi(s'' + 2) = chi(w) chi(A - 2) chi(s' + 2) = -chi(s' + 2), as w is a
+  // square (level 2) and A - 2 is not. Both cases read
+  // chi(s'^2 - 4) = chi(s' + 2), i.e. chi(s' - 2) = 1, i.e.
+  // chi(2 (s1 - z) z) = 1: one Legendre symbol.
+  Fe25519 d = Fe25519::Sub(Fe25519::Add(wn, *q2), z);
+  return Fe25519::Mul(Fe25519::Add(d, d), z).IsSquare();
 }
 
 }  // namespace
@@ -135,7 +206,7 @@ Ed25519Group::Element Ed25519Group::Generator() {
     Fe25519 yy = Fe25519::Square(y);
     Fe25519 u = Fe25519::Sub(yy, Fe25519::One());
     Fe25519 v = Fe25519::Add(Fe25519::Mul(D(), yy), Fe25519::One());
-    Fe25519 x = *Fe25519::Mul(u, v.Invert()).Sqrt();
+    Fe25519 x = *Fe25519::SqrtRatio(u, v);
     if (x.IsNegative()) {
       x = Fe25519::Neg(x);
     }
@@ -237,11 +308,12 @@ std::optional<GePoint> Ed25519Group::Decompress(BytesView bytes) {
   if (!y.has_value()) {
     return std::nullopt;
   }
-  // x^2 = (y^2 - 1) / (d y^2 + 1)
+  // x^2 = (y^2 - 1) / (d y^2 + 1); SqrtRatio finds x with one exponentiation
+  // and its success is exactly the on-curve condition.
   Fe25519 yy = Fe25519::Square(*y);
   Fe25519 u = Fe25519::Sub(yy, Fe25519::One());
   Fe25519 v = Fe25519::Add(Fe25519::Mul(D(), yy), Fe25519::One());
-  auto x = Fe25519::Mul(u, v.Invert()).Sqrt();
+  auto x = Fe25519::SqrtRatio(u, v);
   if (!x.has_value()) {
     return std::nullopt;
   }
@@ -250,9 +322,6 @@ std::optional<GePoint> Ed25519Group::Decompress(BytesView bytes) {
   }
   if (x->IsNegative() != sign) {
     *x = Fe25519::Neg(*x);
-  }
-  if (!OnCurve(*x, *y)) {
-    return std::nullopt;
   }
   GePoint p;
   p.x = *x;
@@ -263,8 +332,12 @@ std::optional<GePoint> Ed25519Group::Decompress(BytesView bytes) {
 }
 
 bool Ed25519Group::InSubgroup(const Element& e) {
-  GePoint le = ScalarMult(e.p_, ScalarTag::Order());
-  return PointsEqual(le, IdentityPoint());
+  const GePoint& p = e.p_;
+  if (p.x.IsZero()) {
+    return p.y == p.z;  // (0, 1) is the identity; (0, -1) has order 2
+  }
+  // Montgomery u = (1 + y) / (1 - y), kept as the fraction (z + y) / (z - y).
+  return HalvesThreeTimes(Fe25519::Add(p.z, p.y), Fe25519::Sub(p.z, p.y));
 }
 
 std::optional<Ed25519Group::Element> Ed25519Group::Decode(BytesView bytes) {

@@ -5,6 +5,20 @@
 // Decode() performs a full subgroup check, and HashToGroup clears the
 // cofactor, so every Element handled by the protocols has prime order. This
 // substitutes for the paper's Ristretto instantiation (see DESIGN.md).
+//
+// Strict decoding is the public auditor's per-element cost, so it is built
+// from field exponentiations rather than point arithmetic:
+//   - decompression takes x from RFC 8032's fused square-root ratio
+//     x = u v^3 (u v^7)^((p-5)/8) -- one exponentiation, no inversion;
+//   - the subgroup check halves instead of multiplying by l. The curve group
+//     is E(F_p) = Z/8 x Z/l, so P has order dividing l iff P = 8R for a
+//     rational R, iff P can be halved three times without leaving F_p. Each
+//     halving is a square-root test on the Montgomery u-coordinate, so the
+//     check costs 4 field exponentiations (~254 squarings each) instead of
+//     the ~252 point doublings of [l]P. The argument and the formulas are at
+//     HalvesThreeTimes in ed25519.cc.
+// Decode and InSubgroup are variable-time. They only ever see public
+// encodings -- transcripts, uploads, wire frames -- never a secret.
 #ifndef SRC_GROUP_ED25519_H_
 #define SRC_GROUP_ED25519_H_
 
@@ -98,6 +112,7 @@ class Ed25519Group {
   // Strict decode: canonical encoding, on curve, and in the order-l subgroup.
   static std::optional<Element> Decode(BytesView bytes);
 
+  // Order divides l, by three point halvings (see the file comment).
   static bool InSubgroup(const Element& e);
 
   // Try-and-increment onto the curve followed by cofactor clearing.

@@ -21,6 +21,22 @@ inline Fe25519 SquareN(Fe25519 a, int k) {
   return a;
 }
 
+// The shared prefix of the curve25519 addition chains: returns a^(2^250 - 1)
+// and sets *z11 = a^11 (250 squarings + 10 multiplications).
+Fe25519 Pow2250Minus1(const Fe25519& a, Fe25519* z11) {
+  Fe25519 z2 = Fe25519::Square(a);                               // 2
+  Fe25519 z9 = Fe25519::Mul(SquareN(z2, 2), a);                  // 9
+  *z11 = Fe25519::Mul(z9, z2);                                   // 11
+  Fe25519 z2_5_0 = Fe25519::Mul(Fe25519::Square(*z11), z9);      // 2^5 - 1
+  Fe25519 z2_10_0 = Fe25519::Mul(SquareN(z2_5_0, 5), z2_5_0);    // 2^10 - 1
+  Fe25519 z2_20_0 = Fe25519::Mul(SquareN(z2_10_0, 10), z2_10_0); // 2^20 - 1
+  Fe25519 z2_40_0 = Fe25519::Mul(SquareN(z2_20_0, 20), z2_20_0); // 2^40 - 1
+  Fe25519 z2_50_0 = Fe25519::Mul(SquareN(z2_40_0, 10), z2_10_0); // 2^50 - 1
+  Fe25519 z2_100_0 = Fe25519::Mul(SquareN(z2_50_0, 50), z2_50_0);     // 2^100 - 1
+  Fe25519 z2_200_0 = Fe25519::Mul(SquareN(z2_100_0, 100), z2_100_0);  // 2^200 - 1
+  return Fe25519::Mul(SquareN(z2_200_0, 50), z2_50_0);                // 2^250 - 1
+}
+
 }  // namespace
 
 const BigInt<4>& Fe25519::P() {
@@ -51,32 +67,19 @@ Fe25519 Fe25519::Invert() const {
   // multiplications, versus ~250 squarings + ~250 multiplications for the
   // generic square-and-multiply Pow. Zero maps to zero (0^(p-2) = 0), which
   // coordinate normalization relies on.
-  const Fe25519& a = *this;
-  Fe25519 z2 = Square(a);                       // 2
-  Fe25519 z9 = Mul(SquareN(z2, 2), a);          // 9
-  Fe25519 z11 = Mul(z9, z2);                    // 11
-  Fe25519 z2_5_0 = Mul(Square(z11), z9);        // 2^5 - 1
-  Fe25519 z2_10_0 = Mul(SquareN(z2_5_0, 5), z2_5_0);      // 2^10 - 1
-  Fe25519 z2_20_0 = Mul(SquareN(z2_10_0, 10), z2_10_0);   // 2^20 - 1
-  Fe25519 z2_40_0 = Mul(SquareN(z2_20_0, 20), z2_20_0);   // 2^40 - 1
-  Fe25519 z2_50_0 = Mul(SquareN(z2_40_0, 10), z2_10_0);   // 2^50 - 1
-  Fe25519 z2_100_0 = Mul(SquareN(z2_50_0, 50), z2_50_0);  // 2^100 - 1
-  Fe25519 z2_200_0 = Mul(SquareN(z2_100_0, 100), z2_100_0);  // 2^200 - 1
-  Fe25519 z2_250_0 = Mul(SquareN(z2_200_0, 50), z2_50_0);    // 2^250 - 1
-  return Mul(SquareN(z2_250_0, 5), z11);        // 2^255 - 21 = p - 2
+  Fe25519 z11;
+  Fe25519 z2_250_0 = Pow2250Minus1(*this, &z11);
+  return Mul(SquareN(z2_250_0, 5), z11);  // 2^255 - 21 = p - 2
 }
 
-std::optional<Fe25519> Fe25519::Sqrt() const {
-  // p = 5 mod 8: candidate = a^((p+3)/8); fix up with sqrt(-1) when needed.
-  static const BigInt<4> kExp = [] {
-    BigInt<4> e = P();
-    BigInt<4>::AddInto(e, e, BigInt<4>::FromU64(3));
-    e.ShiftRight1();
-    e.ShiftRight1();
-    e.ShiftRight1();
-    return e;
-  }();
-  static const Fe25519 kSqrtM1 = [] {
+Fe25519 Fe25519::PowP58() const {
+  Fe25519 z11;
+  Fe25519 z2_250_0 = Pow2250Minus1(*this, &z11);
+  return Mul(SquareN(z2_250_0, 2), *this);  // 2^252 - 3 = (p - 5) / 8
+}
+
+const Fe25519& Fe25519::SqrtM1() {
+  static const Fe25519 sqrt_m1 = [] {
     // 2^((p-1)/4) is a square root of -1 for p = 5 mod 8.
     BigInt<4> e = P();
     BigInt<4>::SubInto(e, e, BigInt<4>::One());
@@ -84,16 +87,41 @@ std::optional<Fe25519> Fe25519::Sqrt() const {
     e.ShiftRight1();
     return Pow(FromU64(2), e);
   }();
+  return sqrt_m1;
+}
 
-  Fe25519 x = Pow(*this, kExp);
+std::optional<Fe25519> Fe25519::Sqrt() const {
+  // p = 5 mod 8: candidate = a^((p+3)/8) = a * a^((p-5)/8); its square is
+  // a * a^((p-1)/4), i.e. +-a for residues (fix up -a with sqrt(-1)).
+  Fe25519 x = Mul(*this, PowP58());
   Fe25519 xx = Square(x);
   if (xx == *this) {
     return x;
   }
   if (xx == Neg(*this)) {
-    return Mul(x, kSqrtM1);
+    return Mul(x, SqrtM1());
   }
   return std::nullopt;
+}
+
+std::optional<Fe25519> Fe25519::SqrtRatio(const Fe25519& u, const Fe25519& v) {
+  Fe25519 v3 = Mul(Square(v), v);
+  Fe25519 v7 = Mul(Square(v3), v);
+  Fe25519 x = Mul(Mul(u, v3), Mul(u, v7).PowP58());
+  Fe25519 vxx = Mul(v, Square(x));
+  if (vxx == u) {
+    return x;
+  }
+  if (vxx == Neg(u)) {
+    return Mul(x, SqrtM1());
+  }
+  return std::nullopt;
+}
+
+bool Fe25519::IsSquare() const {
+  // a^((p-1)/2) = (a^((p-5)/8))^4 * a^2 is 0, 1 or -1.
+  Fe25519 euler = Mul(SquareN(PowP58(), 2), Square(*this));
+  return !Add(euler, One()).IsZero();
 }
 
 bool Fe25519::IsZero() const {

@@ -111,9 +111,27 @@ class Fe25519 {
   // (254 squarings + 11 multiplications); Zero maps to Zero.
   Fe25519 Invert() const;
 
-  // Square root if one exists (p = 5 mod 8 method). Returns nullopt for
-  // non-residues. The returned root is the principal one; callers pick sign.
+  // a^((p-5)/8) = a^(2^252 - 3) via the same addition chain as Invert (252
+  // squarings + 11 multiplications): the shared core of Sqrt, SqrtRatio and
+  // IsSquare.
+  Fe25519 PowP58() const;
+
+  // Square root if one exists (p = 5 mod 8 method: a^((p+3)/8), fixed up
+  // by sqrt(-1)). Returns nullopt for non-residues. The returned root is the
+  // principal one; callers pick sign.
   std::optional<Fe25519> Sqrt() const;
+
+  // x with v * x^2 = u, if one exists: RFC 8032 section 5.1.3's fused
+  // x = u v^3 (u v^7)^((p-5)/8), one exponentiation instead of an inversion
+  // plus a square root. For v = 0 the result is 0 when u = 0, else nullopt.
+  static std::optional<Fe25519> SqrtRatio(const Fe25519& u, const Fe25519& v);
+
+  // Euler's criterion a^((p-1)/2) != -1: true for zero and for every
+  // quadratic residue. Costs one PowP58.
+  bool IsSquare() const;
+
+  // sqrt(-1) = 2^((p-1)/4).
+  static const Fe25519& SqrtM1();
 
   bool IsZero() const;
   // Sign convention of RFC 8032: "negative" iff the canonical encoding is odd.
