@@ -3,10 +3,10 @@
 // verdict.
 //
 // This is the perf contract of the VerifyBackend API (src/verify/): the
-// factory's five execution strategies are interchangeable in outcome, so the
-// only thing this bench is allowed to show differing is wall clock. Expected
-// shape on real hardware: batched beats per-proof by the PR-1 RLC/MSM
-// factor, sharded adds thread-level fan-out, multiprocess pays wire +
+// factory's three execution strategies are interchangeable in outcome, so
+// the only thing this bench is allowed to show differing is wall clock.
+// Expected shape on real hardware: sharded beats per-proof by the PR-1
+// RLC/MSM factor plus thread-level fan-out; remote pays wire, HMAC, and
 // process overhead it can only win back with physical cores.
 //
 // The matrix also sweeps group backends: the primary group (modp-256, the
@@ -49,20 +49,13 @@ vdp::ProtocolConfig ConfigFor(vdp::VerifyBackendKind kind) {
   switch (kind) {
     case vdp::VerifyBackendKind::kPerProof:
       break;
-    case vdp::VerifyBackendKind::kBatched:
-      config.batch_verify = true;
-      break;
     case vdp::VerifyBackendKind::kSharded:
       config.num_verify_shards = 8;
       break;
-    case vdp::VerifyBackendKind::kMultiprocess:
-      config.num_verify_shards = 8;
-      config.verify_workers = 4;
-      break;
     case vdp::VerifyBackendKind::kRemote:
       // A real loopback verify_server fleet (shared; spawned on first use):
-      // the multiprocess row plus socket transport + per-frame HMAC. The
-      // workers pick the group up from the wire setup frame, so one fleet
+      // socket transport + per-frame HMAC on top of the sharded row. The
+      // servers pick the group up from the wire setup frame, so one fleet
       // serves every group in the sweep.
       config.num_verify_shards = 8;
       vdp::net::SharedLoopbackFleet(4).ApplyTo(&config);
@@ -88,8 +81,8 @@ int RunMatrix(vdp::obs::RunLogWriter* log, const std::vector<size_t>& pool_sizes
   }
 
   // Two regimes: an all-valid stream (the RLC batch accepts in one check)
-  // and a stream with one tampered proof (the whole-stream batch pays a full
-  // per-proof fallback; sharding confines that cost to one shard of 512).
+  // and a stream with one tampered proof (sharding confines the per-proof
+  // fallback to one shard of 512).
   for (const char* scenario : {"clean", "one-tampered"}) {
     if (std::string(scenario) == "one-tampered") {
       uploads[kUploads / 3].bin_proofs[0].z0 += G::Scalar::One();
@@ -202,8 +195,8 @@ int main() {
     pool_sizes.push_back(hw);
   }
 
-  // The worker/server subprocesses the multiprocess and remote backends
-  // spawn write into the same file through $VDP_METRICS_OUT, so EVERY writer
+  // The verify_server subprocesses the remote backend drives write into the
+  // same file through $VDP_METRICS_OUT, so EVERY writer
   // -- this process included -- must hold an O_APPEND descriptor (append
   // mode); a plain "w" stream would interleave its private offset with the
   // subprocess appends and corrupt lines.
@@ -223,7 +216,6 @@ int main() {
     header.n_uploads = kUploads;
     header.num_shards = 8;
     header.pool_threads = hw;
-    header.verify_workers = 4;
     header.remote_endpoints = 4;
     header.notes =
         "pool sweep: 1/2/all cores; unsuffixed rows = all cores; sweep groups "

@@ -1,13 +1,12 @@
-// Remote (socket) vs multi-process (pipe) vs in-process shard verification.
+// Remote (socket) vs in-process shard verification.
 //
-// Measures what the network hop and the per-frame HMAC add on top of PR 3's
-// process boundary: the same 4096-upload stream is validated by the
-// in-process sharded pipeline, by a verify_worker subprocess fleet over
-// pipes, and by a spawned loopback verify_server fleet over authenticated
-// TCP sockets (src/net/). Two regimes -- a clean stream and one with a
-// single tampered proof (per-proof fallback confined to one shard) -- and
-// every configuration's accept set is cross-checked against the in-process
-// result, so a speedup can never come from a wrong verdict.
+// Measures what the process boundary, the network hop, and the per-frame
+// HMAC add: the same 4096-upload stream is validated by the in-process
+// sharded backend and by a spawned loopback verify_server fleet over
+// authenticated TCP sockets (src/net/). Two regimes -- a clean stream and
+// one with a single tampered proof (per-proof fallback confined to one
+// shard) -- and every configuration's accept set is cross-checked against
+// the in-process result, so a speedup can never come from a wrong verdict.
 //
 // Emits a vdp.runlog/v1 run-log (BENCH_remote_verify.jsonl, or
 // $VDP_METRICS_OUT) for tools/metrics_report. The final "traced-faulty"
@@ -19,8 +18,8 @@
 // looks like, produced on demand.
 //
 // The interesting numbers:
-//   - remote vs multi-process at equal fleet size: socket + HMAC overhead
-//     on loopback (the lower bound for a real network).
+//   - remote vs in-process: wire + socket + HMAC overhead on loopback (the
+//     lower bound for a real network).
 //   - clean vs one-tampered: the blame fallback's cost does not change
 //     shape when verification is remote.
 #include <cstdio>
@@ -32,7 +31,7 @@
 #include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
 #include "src/obs/runlog.h"
-#include "src/shard/process_pool.h"
+#include "src/verify/factory.h"
 
 namespace {
 
@@ -116,9 +115,12 @@ int main() {
     }
     std::printf("-- scenario: %s --\n", scenario);
 
-    // In-process baseline (PR 2 pipeline on the global thread pool).
+    // In-process baseline (the sharded backend on the global thread pool).
+    vdp::VerifyOptions options;
+    options.pool = &pool;
+    auto sharded = vdp::MakeVerifyBackend<G>(vdp::VerifyBackendKind::kSharded, config, ped);
     timer.Reset();
-    auto inproc = vdp::ShardedVerifier<G>::VerifyAll(config, ped, uploads, &pool);
+    auto inproc = sharded->VerifyAll(uploads, options);
     const double inproc_ms = timer.ElapsedMillis();
     inproc_accepted = inproc.accepted;
     // "in-process:0" matches the legacy baseline's {mode, fleet} row key.
@@ -126,25 +128,6 @@ int main() {
          0, 0);
     std::printf("in-process            : %8.1f ms (%zu accepted)\n", inproc_ms,
                 inproc.accepted.size());
-
-    for (size_t workers : {2, 4}) {
-      vdp::ProcessPoolOptions options;
-      options.num_workers = workers;
-      vdp::MultiprocessVerifier<G> verifier(config, ped, options);
-      vdp::ProcessPoolReport report;
-      timer.Reset();
-      auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
-      const double elapsed_ms = timer.ElapsedMillis();
-      emit(scenario, "multi-process:" + std::to_string(workers), verdict.timings,
-           elapsed_ms, verdict.accepted.size(), report.shards_recovered_in_process,
-           report.failures.size());
-      std::printf("multi-process %zu pipes : %8.1f ms (%zu accepted)\n", workers,
-                  elapsed_ms, verdict.accepted.size());
-      if (verdict.accepted != inproc.accepted) {
-        std::fprintf(stderr, "FATAL: multi-process verdict diverged\n");
-        return 1;
-      }
-    }
 
     const std::vector<std::string> endpoints = fleet.Endpoints();
     for (size_t servers : {2, 4}) {

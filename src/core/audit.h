@@ -154,9 +154,19 @@ AuditReport AuditTranscript(const PublicTranscript<G>& t, const ProtocolConfig& 
   using S = typename G::Scalar;
   std::vector<S> totals(bins, S::Zero());
 
-  if (t.prover_coins.size() != config.num_provers ||
-      t.prover_outputs.size() != config.num_provers ||
-      t.public_bits.size() != config.num_provers) {
+  // Eq. 10 (CheckFinalBin) indexes public_bits[k][bin][j] for every bin and
+  // coin, so an in-memory transcript must have the full (bins x nb) shape.
+  const uint64_t nb = config.NumCoins();
+  bool shape_ok = t.prover_coins.size() == config.num_provers &&
+                  t.prover_outputs.size() == config.num_provers &&
+                  t.public_bits.size() == config.num_provers;
+  for (size_t k = 0; shape_ok && k < config.num_provers; ++k) {
+    shape_ok = t.public_bits[k].size() == bins;
+    for (size_t bin = 0; shape_ok && bin < bins; ++bin) {
+      shape_ok = t.public_bits[k][bin].size() == nb;
+    }
+  }
+  if (!shape_ok) {
     report.verdict =
         Verdict::Reject(VerdictCode::kMalformedMessage, kNoParty, "transcript shape mismatch");
     return report;

@@ -49,52 +49,54 @@ struct ProtocolConfig {
   // multi-scalar multiplication (src/batch/) instead of per-proof
   // exponentiation chains. Accept/reject decisions match the per-proof path:
   // an all-valid batch always accepts, and on batch failure the verifier
-  // falls back to per-proof checks to attribute blame.
+  // falls back to per-proof checks to attribute blame. For client uploads
+  // this selects the sharded backend (src/verify/sharded_backend.h); with
+  // num_verify_shards at 1 the whole stream is one batch.
   bool batch_verify = false;
 
   // Partition client uploads into this many contiguous shards for validation
-  // (src/shard/sharded_verifier.h). Each shard batch-verifies independently
+  // (src/verify/sharded_backend.h). Each shard batch-verifies independently
   // (fanned across the ThreadPool) and a deterministic combiner merges the
   // per-shard results; the accepted set is bit-identical to the monolithic
   // path. On a batch failure only the offending shard pays the per-proof
-  // blame-attribution fallback. 1 (the default) keeps the monolithic path.
-  // Note: sharded validation always uses the RLC batch check within each
-  // shard, regardless of batch_verify -- decisions are still identical (the
-  // fallback is the per-proof oracle), but to run the pure per-proof mode
-  // leave num_verify_shards at 1 with batch_verify false.
+  // blame-attribution fallback. 1 (the default) keeps one whole-stream
+  // shard. Note: > 1 selects the sharded backend, which always uses the RLC
+  // batch check within each shard, regardless of batch_verify -- decisions
+  // are still identical (the fallback is the per-proof oracle), but to run
+  // the pure per-proof mode leave num_verify_shards at 1 with batch_verify
+  // false.
   size_t num_verify_shards = 1;
 
-  // Farm shard verification out to this many verify_worker subprocesses
-  // (src/shard/process_pool.h): shards are serialized over the versioned
-  // wire format (src/wire/), verified out of process, and the decoded
-  // results feed the same deterministic combiner, bit-identically to the
-  // in-process path. Worker failures are blamed, retried, and -- as a last
-  // resort -- recovered in process, so the verdict never depends on fleet
-  // health. 0 or 1 (the default) keeps verification in process. The shard
-  // partition honors num_verify_shards when > 1, else defaults to two
-  // shards per worker.
+  // Farm shard verification out to this many local verify_server processes:
+  // when remote_verifiers is empty, the remote backend
+  // (src/verify/remote_backend.h) spawns them on loopback under a fresh
+  // fleet secret and drives them exactly like a remote fleet -- blamed
+  // retries and in-process recovery included, so the verdict never depends
+  // on fleet health. 0 (the default) keeps verification in process; 1 is
+  // rejected as ambiguous. The one-shot shard partition honors
+  // num_verify_shards when > 1, else defaults to two shards per server.
   size_t verify_workers = 0;
 
   // Farm shard verification out to remote verify_server daemons over
   // authenticated sockets (src/net/): endpoints in the textual form
   // "tcp:host:port" or "unix:/path". Non-empty selects the remote backend
   // (it wins over every other execution flag -- a provisioned fleet is the
-  // most explicit statement of intent). Shards are serialized over the same
-  // versioned wire format as the subprocess pool, MAC-authenticated per
-  // frame, and the decoded results feed the same deterministic combiner,
-  // bit-identically to the in-process path. Lost or misbehaving verifiers
-  // are blamed, reconnected, and -- as a last resort -- their shards are
-  // recovered in process, so the verdict never depends on fleet health.
+  // most explicit statement of intent). Shards are serialized over the
+  // versioned wire format (src/wire/), MAC-authenticated per frame, and the
+  // decoded results feed the same deterministic combiner, bit-identically to
+  // the in-process path. Lost or misbehaving verifiers are blamed,
+  // reconnected, and -- as a last resort -- their shards are recovered in
+  // process, so the verdict never depends on fleet health.
   std::vector<std::string> remote_verifiers;
 
   // Streaming ingest knobs (src/shard/stream_dispatch.h), honored by every
-  // backend that streams (per-proof, sharded, multiprocess, remote).
-  // stream_shard_capacity is the number of uploads per sealed shard; 0 picks
-  // the dispatcher default (1024, sized for MSM efficiency).
-  // stream_max_inflight_shards bounds shards cut but not yet retired
-  // (queued + executing): Add() blocks while the window is full, capping
-  // resident memory at roughly (window + 1) * capacity uploads no matter how
-  // long the stream runs. 0 picks two shards per executor lane.
+  // backend (per-proof, sharded, remote). stream_shard_capacity is the
+  // number of uploads per sealed shard; 0 picks the dispatcher default
+  // (1024, sized for MSM efficiency). stream_max_inflight_shards bounds
+  // shards cut but not yet retired (queued + executing): Add() blocks while
+  // the window is full, capping resident memory at roughly
+  // (window + 1) * capacity uploads no matter how long the stream runs. 0
+  // picks two shards per executor lane.
   size_t stream_shard_capacity = 0;
   size_t stream_max_inflight_shards = 0;
 

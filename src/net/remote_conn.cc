@@ -27,7 +27,7 @@ RemoteConn ConnectAndHandshake(const Endpoint& endpoint, BytesView shared_secret
     return conn;
   }
 
-  // Server speaks first (mirrors the pipe worker's hello-on-spawn).
+  // Server speaks first.
   wire::Frame frame;
   wire::ReadStatus status = wire::ReadFrame(conn.fd, &frame, options.handshake_timeout_ms);
   if (status != wire::ReadStatus::kOk) {

@@ -7,8 +7,7 @@
 // lane per configured endpoint, each owning one persistent connection to its
 // verifier; shards flow to lanes as the dispatcher seals them, so remote
 // machines verify while the driver is still ingesting. Failure handling is
-// strictly per-shard, like the process pool's, plus a reconnect policy the
-// pipe transport never needed:
+// strictly per-shard:
 //
 //   - A connection that fails mid-shard (dropped, timed out, bad MAC, result
 //     mismatch) is closed with blame recorded (which endpoint, which shard,
@@ -16,9 +15,9 @@
 //   - Connecting itself retries (connect_attempts, backoff) so a verifier
 //     that is restarting -- killed and brought back by its supervisor -- is
 //     re-adopted instead of written off on the first ECONNREFUSED.
-//   - A shard whose remote attempts are exhausted is verified *in process*,
-//     so a dead fleet degrades to the PR-2 sharded path instead of losing
-//     shards.
+//   - A shard whose remote attempts are exhausted -- or that has no endpoint
+//     to go to at all -- is verified *in process*, so a dead fleet degrades
+//     to the in-process sharded path instead of losing shards.
 //
 // Either way every shard yields exactly one ShardResult and the combined
 // verdict is bit-identical to the in-process path; fleet trouble only shows
@@ -40,9 +39,9 @@
 #include "src/common/timer.h"
 #include "src/net/health.h"
 #include "src/net/remote_conn.h"
+#include "src/net/socket.h"
 #include "src/shard/shard_result.h"
 #include "src/shard/stream_dispatch.h"
-#include "src/shard/worker_process.h"
 #include "src/wire/wire_convert.h"
 
 namespace vdp {
@@ -125,7 +124,7 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
 
   void BeginStream(obs::TraceCollector* tracer, obs::TraceContext verify_ctx) override {
     ShardExecutor<G>::BeginStream(tracer, verify_ctx);
-    IgnoreSigpipe();  // a write into a dead verifier must fail with EPIPE
+    net::IgnoreSigpipe();  // a write into a dead verifier must fail with EPIPE
     for (LaneState& lane : lanes_) {
       net::CloseRemoteConn(&lane.conn);
       lane.connected_before = false;
@@ -140,91 +139,26 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
       std::lock_guard<std::mutex> lock(report_mutex_);
       ++report_.shards_total;
     }
-    // No endpoints parsed (unreachable after Validate, but never lose the
-    // stream): every shard goes through the in-process fallback.
-    if (endpoints_.empty()) {
-      ShardResult<G> result =
-          VerifyShard(config_, ped_, shard.data(), shard.count(), shard.base,
-                      shard.shard_index, nullptr, shard.compute_products);
-      std::lock_guard<std::mutex> lock(report_mutex_);
-      ++report_.shards_recovered_in_process;
-      return result;
-    }
-    LaneState& lane = lanes_[lane_index];
-    const net::Endpoint& endpoint = endpoints_[lane_index];
-    const std::string endpoint_name = net::FormatEndpoint(endpoint);
-    bool skip_remote = false;
-    if (options_.health != nullptr) {
-      if (!options_.health->Dispatchable(endpoint_name)) {
-        // The prober says this endpoint is dead: go straight to the
-        // in-process fallback instead of burning the connect ladder.
-        skip_remote = true;
-        obs::GlobalCounter(obs::kFleetDispatchSkips)->Increment();
-      } else if (lane.endpoint_dead) {
-        // The lane's own breaker tripped earlier in the stream, but the
-        // prober has since seen the endpoint answer: re-adopt it.
-        lane.endpoint_dead = false;
-      }
-    }
     // One dispatch span covers every attempt at this shard; the server's own
     // spans parent under it via the task's trace extension.
+    const std::string endpoint_name =
+        endpoints_.empty() ? "" : net::FormatEndpoint(endpoints_[lane_index]);
     obs::TraceSpan dispatch_span(this->tracer_, "dispatch", this->verify_ctx_);
     dispatch_span.set_detail("shard=" + std::to_string(shard.shard_index) +
-                             " endpoint=" + endpoint_name);
-    wire::WireShardTask task =
-        wire::MakeShardTask<G>(params_digest_, shard.shard_index, shard.base,
-                               shard.compute_products, shard.data(), shard.count());
-    task.trace_id = dispatch_span.context().trace_id;
-    task.parent_span_id = dispatch_span.context().span_id;
-    const Bytes task_payload = task.Serialize();
-    // Retries resend task_payload; only the task's scalar metadata is needed
-    // from here on (mirrors the process pool's memory trim).
-    task.uploads.clear();
-    task.uploads.shrink_to_fit();
-
+                             (endpoint_name.empty() ? "" : " endpoint=" + endpoint_name));
     ShardResult<G> result;
     bool done = false;
-    // A task the authenticated frame layer would refuse (payload + MAC over
-    // kMaxFramePayload) can never succeed on any verifier.
-    const bool oversized = task_payload.size() + net::kMacTagSize > wire::kMaxFramePayload;
-    if (oversized) {
-      RecordFailure(shard.shard_index, endpoint_name,
-                    "task frame exceeds wire payload limit (" +
-                        std::to_string(task_payload.size()) +
-                        " bytes); shard too large -- raise num_verify_shards");
-    }
-    for (size_t attempt = 0; attempt < options_.max_attempts_per_shard && !done &&
-                             !oversized && !skip_remote && !lane.endpoint_dead;
-         ++attempt) {
-      if (attempt > 0) {
-        obs::GlobalCounter(obs::kFleetRetries)->Increment();
-      }
-      if (!lane.conn.ok() && !Reconnect(endpoint, endpoint_name, &lane.conn,
-                                        &lane.connected_before, shard.shard_index)) {
-        // A whole connect ladder failed: trip the breaker. The lane keeps
-        // taking shards -- it still contributes CPU through the in-process
-        // fallback -- but never pays the futile connect timeouts again (a
-        // blackholed endpoint would otherwise serialize
-        // connect_attempts * connect_timeout_ms into EVERY shard it takes).
-        // Failures were already blamed shard-by-shard inside Reconnect.
-        lane.endpoint_dead = true;
-        break;
-      }
-      std::string blame;
-      if (AttemptShard(&lane.conn, task_payload, task, shard.count(), &result,
-                       endpoint_name, &dispatch_span, &blame)) {
-        obs::GlobalCounter(obs::kFleetShardsRemote)->Increment();
-        std::lock_guard<std::mutex> lock(report_mutex_);
-        ++report_.shards_from_remote;
-        done = true;
-      } else {
-        RecordFailure(shard.shard_index, endpoint_name, blame);
-        net::CloseRemoteConn(&lane.conn);
-      }
+    if (endpoints_.empty()) {
+      // Nobody to farm out to -- a verify_workers fleet whose servers all
+      // failed to spawn. Blamed, then recovered like an exhausted shard.
+      RecordFailure(shard.shard_index, "", "no remote endpoints");
+    } else {
+      done = FarmOut(&lanes_[lane_index], endpoints_[lane_index], endpoint_name, shard,
+                     &dispatch_span, &result);
     }
     if (!done) {
-      // Retries exhausted: verify locally so the shard -- and the combined
-      // verdict -- is never lost to a dead fleet.
+      // Skipped, retries exhausted, or no endpoint: verify locally so the
+      // shard -- and the combined verdict -- is never lost to a dead fleet.
       result = VerifyShard(config_, ped_, shard.data(), shard.count(), shard.base,
                            shard.shard_index, nullptr, shard.compute_products, this->tracer_,
                            dispatch_span.context());
@@ -280,6 +214,79 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     bool endpoint_dead = false;
   };
 
+  // Every remote attempt at one shard on its lane's endpoint: the health
+  // gate, the oversize check, then up to max_attempts_per_shard round-trips
+  // (reconnecting as needed). Fills *result and returns true on the first
+  // success; false sends the shard to the in-process recovery.
+  bool FarmOut(LaneState* lane, const net::Endpoint& endpoint, const std::string& endpoint_name,
+               const ShardPayload<G>& shard, obs::TraceSpan* dispatch_span,
+               ShardResult<G>* result) {
+    if (options_.health != nullptr) {
+      if (!options_.health->Dispatchable(endpoint_name)) {
+        // The prober says this endpoint is dead: go straight to the
+        // in-process fallback instead of burning the connect ladder.
+        obs::GlobalCounter(obs::kFleetDispatchSkips)->Increment();
+        return false;
+      }
+      // The lane's own breaker may have tripped earlier in the stream, but
+      // the prober has since seen the endpoint answer: re-adopt it.
+      lane->endpoint_dead = false;
+    }
+    if (lane->endpoint_dead) {
+      return false;  // the breaker tripped earlier in this stream
+    }
+    wire::WireShardTask task =
+        wire::MakeShardTask<G>(params_digest_, shard.shard_index, shard.base,
+                               shard.compute_products, shard.data(), shard.count());
+    task.trace_id = dispatch_span->context().trace_id;
+    task.parent_span_id = dispatch_span->context().span_id;
+    const Bytes task_payload = task.Serialize();
+    // Retries resend task_payload; only the task's scalar metadata is needed
+    // from here on. Dropping the per-upload copies halves the per-shard
+    // memory held across the round-trip.
+    task.uploads.clear();
+    task.uploads.shrink_to_fit();
+
+    // A task the authenticated frame layer would refuse (payload + MAC over
+    // kMaxFramePayload) can never succeed on any verifier. (Seen only with
+    // shards of ~1M+ uploads; raise num_verify_shards or lower the stream
+    // shard capacity.)
+    if (task_payload.size() + net::kMacTagSize > wire::kMaxFramePayload) {
+      RecordFailure(shard.shard_index, endpoint_name,
+                    "task frame exceeds wire payload limit (" +
+                        std::to_string(task_payload.size()) +
+                        " bytes); shard too large -- raise num_verify_shards");
+      return false;
+    }
+    for (size_t attempt = 0; attempt < options_.max_attempts_per_shard; ++attempt) {
+      if (attempt > 0) {
+        obs::GlobalCounter(obs::kFleetRetries)->Increment();
+      }
+      if (!lane->conn.ok() && !Reconnect(endpoint, endpoint_name, &lane->conn,
+                                         &lane->connected_before, shard.shard_index)) {
+        // A whole connect ladder failed: trip the breaker. The lane keeps
+        // taking shards -- it still contributes CPU through the in-process
+        // fallback -- but never pays the futile connect timeouts again (a
+        // blackholed endpoint would otherwise serialize
+        // connect_attempts * connect_timeout_ms into EVERY shard it takes).
+        // Failures were already blamed shard-by-shard inside Reconnect.
+        lane->endpoint_dead = true;
+        break;
+      }
+      std::string blame;
+      if (AttemptShard(&lane->conn, task_payload, task, shard.count(), result, endpoint_name,
+                       dispatch_span, &blame)) {
+        obs::GlobalCounter(obs::kFleetShardsRemote)->Increment();
+        std::lock_guard<std::mutex> lock(report_mutex_);
+        ++report_.shards_from_remote;
+        return true;
+      }
+      RecordFailure(shard.shard_index, endpoint_name, blame);
+      net::CloseRemoteConn(&lane->conn);
+    }
+    return false;
+  }
+
   // Establishes (or re-establishes) a lane's connection, with bounded
   // retries and backoff. Every failed try is blamed against `shard`.
   bool Reconnect(const net::Endpoint& endpoint, const std::string& endpoint_name,
@@ -314,11 +321,10 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
   }
 
   // One task round-trip on a live connection, under ONE shard_timeout_ms
-  // deadline covering both the task write and the result read. The checks
-  // mirror the process pool's: digest, shard identity, range, and product
-  // presence must all match the task, and every element must decode onto
-  // the group -- a remote verifier is trusted with work, not with verdict
-  // integrity.
+  // deadline covering both the task write and the result read. Digest,
+  // shard identity, range, and product presence must all match the task,
+  // and every element must decode onto the group -- a remote verifier is
+  // trusted with work, not with verdict integrity.
   bool AttemptShard(net::RemoteConn* conn, BytesView task_payload,
                     const wire::WireShardTask& task, size_t expected_count,
                     ShardResult<G>* out, const std::string& endpoint_name,

@@ -1,5 +1,7 @@
-// For pipe2 (see src/shard/worker_process.cc for why O_CLOEXEC must be
-// atomic: spawners may fork from multiple threads).
+// For pipe2: O_CLOEXEC pipes must be created atomically. Spawners fork from
+// multiple threads, so a close-on-exec flag set after pipe() would leave a
+// window for a sibling server to inherit this server's pipe ends (and keep
+// its liveness pipe open after the spawner closes it).
 #define _GNU_SOURCE 1
 
 #include "src/net/server_process.h"
@@ -8,6 +10,8 @@
 #include <fcntl.h>
 #include <limits.h>
 #include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -18,12 +22,45 @@
 #include "src/common/rng.h"
 #include "src/net/auth.h"
 #include "src/net/socket.h"
-#include "src/shard/worker_process.h"
 
 namespace vdp {
 namespace net {
 
 namespace {
+
+// The reap ladder: up to ~500ms of WNOHANG polling for a graceful exit (a
+// healthy server exits as soon as it sees EOF on its liveness pipe), then
+// SIGKILL, then an EINTR-retried blocking reap. Returns how the child ended,
+// for blame reports.
+std::string ReapChild(pid_t pid) {
+  int status = 0;
+  pid_t reaped = 0;
+  for (int waited_ms = 0; waited_ms < 500; waited_ms += 10) {
+    reaped = waitpid(pid, &status, WNOHANG);
+    if (reaped != 0) {
+      break;
+    }
+    usleep(10 * 1000);
+  }
+  if (reaped == 0) {
+    kill(pid, SIGKILL);
+    // Retry EINTR: an interrupting timer must not turn a clean SIGKILL reap
+    // into a "wait failed" blame (and a leaked zombie).
+    do {
+      reaped = waitpid(pid, &status, 0);
+    } while (reaped < 0 && errno == EINTR);
+  }
+  if (reaped < 0) {
+    return "wait failed";
+  }
+  if (WIFEXITED(status)) {
+    return "exited " + std::to_string(WEXITSTATUS(status));
+  }
+  if (WIFSIGNALED(status)) {
+    return "killed by signal " + std::to_string(WTERMSIG(status));
+  }
+  return "ended";
+}
 
 // Reads the "LISTENING <endpoint>\n" announcement line. timeout_ms is one
 // deadline over the whole announcement, not per byte -- a child trickling

@@ -7,6 +7,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <signal.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -115,6 +116,12 @@ void CloseFd(int* fd) {
     close(*fd);
     *fd = -1;
   }
+}
+
+void IgnoreSigpipe() {
+  // Safe to run from multiple threads: every call installs the same
+  // disposition, and it is never reverted.
+  signal(SIGPIPE, SIG_IGN);
 }
 
 std::optional<Listener> Listener::Open(const Endpoint& endpoint) {

@@ -5,9 +5,8 @@
 // (src/wire/frame_io.h) can drive directly.
 //
 // Fd modes: connector fds are left O_NONBLOCK so WriteFrame's deadline is
-// honored against a peer that stops draining (same contract as the worker
-// pipes); accepted fds stay blocking -- the server writes results without
-// deadlines, exactly like verify_worker on its stdout pipe.
+// honored against a peer that stops draining; accepted fds stay blocking --
+// the server writes results without deadlines.
 #ifndef SRC_NET_SOCKET_H_
 #define SRC_NET_SOCKET_H_
 
@@ -21,6 +20,10 @@ namespace net {
 
 // Closes if open; idempotent.
 void CloseFd(int* fd);
+
+// Process-wide, idempotent: a write into a dead peer (socket or pipe) must
+// fail with EPIPE instead of killing the process.
+void IgnoreSigpipe();
 
 // Bound listening socket. Move-only; the fd closes on destruction (a unix
 // socket path is unlinked too).

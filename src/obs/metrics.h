@@ -10,10 +10,10 @@
 //     the registry's lifetime.
 //   - Zero dependencies beyond the standard library, like the rest of the
 //     tree.
-//   - One registry per process by default (Global()): the subprocess
-//     verifiers (verify_worker, verify_server) snapshot it into their own
-//     run-logs, the driver snapshots its own; the run-log stitches the fleet
-//     view together. Tests construct private registries.
+//   - One registry per process by default (Global()): verify_server
+//     daemons snapshot it into their own run-logs, the driver snapshots its
+//     own; the run-log stitches the fleet view together. Tests construct
+//     private registries.
 //
 // Metric names are dotted paths ("fleet.reconnects", "wire.bytes_out"). The
 // canonical catalog lives in kMetricCatalog below and README "Observability";
@@ -46,9 +46,6 @@ inline constexpr const char* kFleetReconnects = "fleet.reconnects";
 inline constexpr const char* kFleetConnections = "fleet.connections";
 inline constexpr const char* kFleetShardsRemote = "fleet.shards_remote";
 inline constexpr const char* kFleetShardsRecovered = "fleet.shards_recovered";
-inline constexpr const char* kPoolRetries = "pool.retries";
-inline constexpr const char* kPoolBlamed = "pool.blamed";
-inline constexpr const char* kPoolWorkersSpawned = "pool.workers_spawned";
 inline constexpr const char* kAuthFailures = "auth.failures";
 inline constexpr const char* kWireBytesIn = "wire.bytes_in";
 inline constexpr const char* kWireBytesOut = "wire.bytes_out";

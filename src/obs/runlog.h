@@ -1,6 +1,6 @@
 // The machine-readable run-log: one versioned JSONL schema shared by every
-// verification backend, every bench_* binary, and the two daemons
-// (verify_worker / verify_server), replacing the bespoke per-bench JSON
+// verification backend, every bench_* binary, and the verify_server
+// daemon, replacing the bespoke per-bench JSON
 // writers. CI uploads these files as artifacts and trends them across PRs
 // with tools/metrics_report.
 //
@@ -78,7 +78,7 @@ struct RunHeader {
   // The honest concurrency story (ISSUE 6): what parallelism this run
   // actually had available and used.
   uint64_t pool_threads = 0;      // in-process ThreadPool size (0 = none)
-  uint64_t verify_workers = 0;    // subprocess fleet size
+  uint64_t verify_workers = 0;    // spawned local server fleet size
   uint64_t remote_endpoints = 0;  // socket fleet size
   std::string notes;              // free-form ("loopback", "--fault crash:0", ...)
 };

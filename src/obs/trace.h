@@ -12,7 +12,7 @@
 //     destructor (or End()) records the finished span into the collector.
 //
 // Crossing a process boundary: the driver stamps (trace_id, parent span id)
-// into the wire shard task; the worker/server builds its own collector whose
+// into the wire shard task; the server builds its own collector whose
 // epoch is task receipt, parents its spans under the driver's span id, and
 // ships the finished records back inside the wire shard result. The driver
 // adopts them with AdoptRemote, rebasing start_us onto the dispatch span's
@@ -21,7 +21,7 @@
 // (remote span placement is accurate to the network round-trip).
 //
 // Span ids are unique per process (pid-salted counter), so a driver plus any
-// number of workers/servers cannot collide in one trace.
+// number of servers cannot collide in one trace.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 

@@ -1,11 +1,10 @@
 // The shard compute core: verify one contiguous shard of the upload stream
 // and deterministically combine per-shard outcomes into a VerifyReport.
 //
-// Extracted from sharded_verifier.h so every execution layer -- the
-// in-process streaming dispatcher (stream_dispatch.h), the subprocess pool
-// (process_pool.h), the remote socket fleet (src/net/remote_fleet.h), and
-// the wire workers themselves -- shares one implementation of the batched
-// validation algorithm and one combiner. Guarantees:
+// Every execution layer -- the in-process streaming dispatcher
+// (stream_dispatch.h), the remote socket fleet (src/net/remote_fleet.h),
+// and the verify_server daemons themselves -- shares one implementation of
+// the batched validation algorithm and one combiner. Guarantees:
 //
 //   - Equivalence: the merged accepted set, rejection reasons, and the
 //     per-prover/per-bin products of accepted commitments are bit-identical
@@ -120,8 +119,9 @@ ShardResult<G> BuildShardResult(const ProtocolConfig& config,
 // across `pool`; the RLC batch check shards its MSM onto `pool` too. Pass
 // pool == nullptr when calling from inside a pool task (ParallelFor does not
 // nest). This is the single implementation of the batched validation
-// algorithm: BatchedBackend (src/verify/batched_backend.h) runs it as one
-// whole-stream shard, so the batched and sharded paths cannot drift apart.
+// algorithm: a batch_verify-only config runs it as one whole-stream shard,
+// and every sharded or fleet path runs it per shard, so they cannot drift
+// apart.
 template <PrimeOrderGroup G>
 ShardResult<G> VerifyShard(const ProtocolConfig& config, const Pedersen<G>& ped,
                            const ClientUploadMsg<G>* uploads, size_t count, size_t base,

@@ -3,8 +3,7 @@
 //
 // The paper's curator verifies uploads from millions of clients; holding the
 // whole broadcast resident until Finish() is GBs of RSS at that scale. This
-// layer makes bounded-memory streaming the shared machinery instead of a
-// ShardedVerifier-only feature:
+// layer makes bounded-memory streaming the machinery every backend shares:
 //
 //   - Shard cutting: Add() accumulates uploads into the current shard and
 //     seals it at shard_capacity, assigning contiguous (base, shard_index)
@@ -19,8 +18,8 @@
 //     the stream runs.
 //   - Execution: a ShardExecutor turns one sealed shard into one compact
 //     ShardResult. Lanes map 1:1 to executor resources -- pool worker
-//     threads in process, one verify_worker subprocess per lane
-//     (process_pool.h), one socket per lane (remote_fleet.h) -- and every
+//     threads in process, one verify_server socket per lane
+//     (src/net/remote_fleet.h) -- and every
 //     ExecuteShard(lane, ...) call for a lane happens on the same dispatcher
 //     thread, so executors keep per-lane state without locking.
 //   - Deterministic combine: results are merged with CombineShardResults,
@@ -63,12 +62,12 @@ struct ShardPayload {
 };
 
 // An execution engine for sealed shards: in-process batch verification, the
-// verify_worker subprocess pool, or the remote socket fleet. The dispatcher
+// per-proof oracle, or the verify_server socket fleet. The dispatcher
 // runs lanes() threads; lane i receives every one of its ExecuteShard(i, ..)
 // calls from the same thread and CloseLane(i) from that thread when the
-// stream drains, so per-lane resources (a worker process, a connection) need
-// no synchronization. BeginStream runs on the producer thread before any
-// lane starts.
+// stream drains, so per-lane resources (a connection) need no
+// synchronization. BeginStream runs on the producer thread before any lane
+// starts.
 template <PrimeOrderGroup G>
 class ShardExecutor {
  public:
@@ -100,8 +99,8 @@ class ShardExecutor {
 // per-proof fallback) by VerifyShard. With lanes > 1 each lane runs its
 // shard serially -- cross-shard parallelism comes from the lanes themselves;
 // with a single lane the shard gets the whole pool internally, which is the
-// right shape for whole-stream shards (the per-proof and batched backends'
-// one-shot path).
+// right shape for a one-shot whole-stream shard (batch_verify without
+// num_verify_shards).
 template <PrimeOrderGroup G>
 class InProcessShardExecutor final : public ShardExecutor<G> {
  public:
@@ -320,7 +319,7 @@ class StreamDispatcher {
     started_ = true;
     closed_ = false;
     // One verify-stage span covers the whole dispatch pipeline of the
-    // stream; per-shard spans (and adopted worker/server spans) nest under
+    // stream; per-shard spans (and adopted server spans) nest under
     // it, exactly like the buffered paths' verify stage.
     verify_span_.emplace(options_.tracer, kStageVerify, options_.trace_parent);
     executor_->BeginStream(options_.tracer, verify_span_->context());

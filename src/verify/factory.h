@@ -1,20 +1,19 @@
 // The backend factory/registry: the ONLY place that maps ProtocolConfig
 // flags to a verification execution strategy.
 //
-// Before this seam existed, `batch_verify`, `num_verify_shards`, and
-// `verify_workers` were re-interpreted by scattered checks inside
-// PublicVerifier, RunProtocol, and AuditTranscript. Now the flags are
-// config-surface only: SelectVerifyBackend is the whole selection policy,
-// and a fifth strategy (the ROADMAP's socket-transport RemoteBackend) is a
-// new case here rather than a fourth copy of the dispatch logic.
+// `batch_verify`, `num_verify_shards`, `verify_workers`, and
+// `remote_verifiers` are config-surface only: SelectVerifyBackend is the
+// whole selection policy, and PublicVerifier, RunProtocol, and
+// AuditTranscript never re-interpret the flags themselves.
 //
-// Selection policy (first match wins):
+// Three strategies, selected first match wins:
 //
-//   remote_verifiers set  ->  RemoteBackend       (verify_server socket fleet)
-//   verify_workers   > 1  ->  MultiprocessBackend (worker subprocess fleet)
-//   num_verify_shards > 1 ->  ShardedBackend      (in-process shard pipeline)
-//   batch_verify          ->  BatchedBackend      (one whole-stream RLC batch)
-//   otherwise             ->  PerProofBackend     (the per-proof oracle)
+//   remote_verifiers set, or
+//   verify_workers > 1    ->  RemoteBackend    (verify_server fleet; spawned
+//                                               locally for verify_workers)
+//   batch_verify, or
+//   num_verify_shards > 1 ->  ShardedBackend   (in-process RLC shard pipeline)
+//   otherwise             ->  PerProofBackend  (the per-proof oracle)
 #ifndef SRC_VERIFY_FACTORY_H_
 #define SRC_VERIFY_FACTORY_H_
 
@@ -25,8 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/verify/batched_backend.h"
-#include "src/verify/multiprocess_backend.h"
 #include "src/verify/per_proof_backend.h"
 #include "src/verify/remote_backend.h"
 #include "src/verify/sharded_backend.h"
@@ -35,9 +32,7 @@ namespace vdp {
 
 enum class VerifyBackendKind {
   kPerProof,
-  kBatched,
   kSharded,
-  kMultiprocess,
   kRemote,
 };
 
@@ -45,12 +40,8 @@ inline const char* VerifyBackendKindName(VerifyBackendKind kind) {
   switch (kind) {
     case VerifyBackendKind::kPerProof:
       return "per-proof";
-    case VerifyBackendKind::kBatched:
-      return "batched";
     case VerifyBackendKind::kSharded:
       return "sharded";
-    case VerifyBackendKind::kMultiprocess:
-      return "multiprocess";
     case VerifyBackendKind::kRemote:
       return "remote";
   }
@@ -61,8 +52,7 @@ inline const char* VerifyBackendKindName(VerifyBackendKind kind) {
 // iterates this list; a new backend joins the registry by being added here
 // and in MakeVerifyBackend's switch.
 inline std::vector<VerifyBackendKind> AllVerifyBackendKinds() {
-  return {VerifyBackendKind::kPerProof, VerifyBackendKind::kBatched,
-          VerifyBackendKind::kSharded, VerifyBackendKind::kMultiprocess,
+  return {VerifyBackendKind::kPerProof, VerifyBackendKind::kSharded,
           VerifyBackendKind::kRemote};
 }
 
@@ -77,17 +67,11 @@ inline std::optional<VerifyBackendKind> VerifyBackendKindFromName(std::string_vi
 
 // The whole mode-selection policy, in one function.
 inline VerifyBackendKind SelectVerifyBackend(const ProtocolConfig& config) {
-  if (!config.remote_verifiers.empty()) {
+  if (!config.remote_verifiers.empty() || config.verify_workers > 1) {
     return VerifyBackendKind::kRemote;
   }
-  if (config.verify_workers > 1) {
-    return VerifyBackendKind::kMultiprocess;
-  }
-  if (config.num_verify_shards > 1) {
+  if (config.batch_verify || config.num_verify_shards > 1) {
     return VerifyBackendKind::kSharded;
-  }
-  if (config.batch_verify) {
-    return VerifyBackendKind::kBatched;
   }
   return VerifyBackendKind::kPerProof;
 }
@@ -104,12 +88,8 @@ std::unique_ptr<VerifyBackend<G>> MakeVerifyBackend(VerifyBackendKind kind,
   switch (kind) {
     case VerifyBackendKind::kPerProof:
       return std::make_unique<PerProofBackend<G>>(config, std::move(ped));
-    case VerifyBackendKind::kBatched:
-      return std::make_unique<BatchedBackend<G>>(config, std::move(ped));
     case VerifyBackendKind::kSharded:
       return std::make_unique<ShardedBackend<G>>(config, std::move(ped));
-    case VerifyBackendKind::kMultiprocess:
-      return std::make_unique<MultiprocessBackend<G>>(config, std::move(ped));
     case VerifyBackendKind::kRemote:
       return std::make_unique<RemoteBackend<G>>(config, std::move(ped));
   }

@@ -2,9 +2,9 @@
 // every upload verified individually (src/core/client.h's
 // ValidateClientUpload), independent uploads fanned across the thread pool.
 //
-// This is the slowest backend and the ground truth: the RLC-batched, sharded,
-// multi-process, and remote backends all fall back to this per-proof check to
-// attribute blame, which is why their decisions cannot diverge from it.
+// This is the slowest backend and the ground truth: the sharded (RLC-batched)
+// and remote backends both fall back to this per-proof check to attribute
+// blame, which is why their decisions cannot diverge from it.
 //
 // Streaming runs the same per-proof oracle over dispatcher-cut shards (the
 // verdict is per-upload and carries the global index, so the cut is

@@ -1,14 +1,16 @@
 // RemoteBackend: shards farmed out to verify_server daemons over
 // authenticated sockets (src/net/remote_fleet.h), with blamed retries,
 // reconnects, and in-process recovery, so the verdict never depends on
-// fleet health -- the fifth registered execution strategy, and the first
-// whose verifiers live on other machines.
+// fleet health. This is the one fleet backend, local or multi-machine.
 //
 // The fleet comes from ProtocolConfig::remote_verifiers (validated
-// endpoints; a config that selected this backend through the factory always
-// has them) and authenticates with ProtocolConfig::remote_auth_key_hex.
-// Streaming Add cuts shards through the dispatcher and ships them to the
-// fleet while ingestion continues -- shards only leave the process as whole
+// endpoints) authenticated with ProtocolConfig::remote_auth_key_hex. When
+// that list is empty, ProtocolConfig::verify_workers = N is sugar for a
+// local fleet: on first use the backend spawns and owns N loopback
+// verify_servers under a fresh fleet secret (net::LoopbackFleet) and points
+// its own config copy at them; they go down with the backend. Streaming Add
+// cuts shards through the dispatcher and ships them to the fleet while
+// ingestion continues -- shards only leave the process as whole
 // authenticated wire frames, and at most the in-flight window of them is
 // resident at once.
 #ifndef SRC_VERIFY_REMOTE_BACKEND_H_
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "src/net/remote_fleet.h"
+#include "src/net/server_process.h"
 #include "src/verify/streaming_backend.h"
 
 namespace vdp {
@@ -43,6 +46,13 @@ class RemoteBackend final : public StreamingVerifyBackend<G> {
  protected:
   std::unique_ptr<ShardExecutor<G>> MakeExecutor(const VerifyOptions& /*options*/,
                                                  bool /*streaming*/) override {
+    if (config_.remote_verifiers.empty() && config_.verify_workers > 1 &&
+        local_fleet_ == nullptr) {
+      // Spawned once per backend. Servers that fail to spawn leave the fleet
+      // short; with none at all every shard is recovered in process.
+      local_fleet_ = std::make_unique<net::LoopbackFleet>(config_.verify_workers);
+      local_fleet_->ApplyTo(&config_);
+    }
     auto fleet = std::make_unique<RemoteVerifierFleet<G>>(config_, ped_, fleet_options_);
     fleet_ = fleet.get();
     return fleet;
@@ -66,6 +76,9 @@ class RemoteBackend final : public StreamingVerifyBackend<G> {
   ProtocolConfig config_;
   Pedersen<G> ped_;
   RemoteFleetOptions fleet_options_;
+  // The verify_workers fleet, null otherwise. ~RemoteBackend's AbortStream
+  // drops the executor (and its connections) before the servers go down.
+  std::unique_ptr<net::LoopbackFleet> local_fleet_;
   RemoteVerifierFleet<G>* fleet_ = nullptr;  // owned by the base as the executor
   RemoteFleetReport last_fleet_report_;
 };

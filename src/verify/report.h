@@ -3,8 +3,8 @@
 //
 // The paper's public verifier is a single logical object -- anyone can rerun
 // Line 3 of Figure 2 from the broadcast transcript -- so no matter which
-// execution strategy performed the checks (per-proof, RLC-batched, sharded,
-// multi-process, or a future remote fleet), the *outcome* must be expressible
+// execution strategy performed the checks (per-proof, RLC-batched shards in
+// process, or a verify_server fleet), the *outcome* must be expressible
 // in one shape: which uploads were accepted, why each rejected upload was
 // rejected (typed, not a formatted string), and the per-prover/per-bin
 // products of accepted commitments that feed the Eq. 10 final check.
@@ -56,7 +56,7 @@ inline constexpr const char* kDetailProofInvalid = "bin OR proof invalid";
 
 // Maps the canonical detail strings of the validation layer to typed codes.
 // Centralized so a detail string produced by any backend -- including one
-// decoded from a worker's wire ShardResult -- classifies the same way.
+// decoded from a server's wire ShardResult -- classifies the same way.
 inline RejectCode ClassifyRejectDetail(std::string_view detail) {
   if (detail == kDetailMalformedUpload) {
     return RejectCode::kMalformedUpload;
@@ -88,7 +88,7 @@ struct RejectionReason {
 };
 
 // The canonical stage names every backend reports, in pipeline order. The
-// conformance suite asserts all five backends emit exactly these three, and
+// conformance suite asserts every backend emits exactly these three, and
 // the run-log (src/obs/runlog.h) trends them per backend across PRs, so a
 // renamed stage is a schema change.
 inline constexpr const char* kStageIngest = "ingest";
@@ -97,8 +97,8 @@ inline constexpr const char* kStageCombine = "combine";
 
 // Wall-clock cost of the pipeline stages every backend has: ingesting the
 // stream (Add/Submit buffering), verifying uploads (structural checks +
-// proof checks, however parallelized -- for the multiprocess/remote
-// backends this is the whole fleet drive, wire cost included), and
+// proof checks, however parallelized -- for the remote backend this is the
+// whole fleet drive, wire cost included), and
 // combining per-shard results into the global report. total_ms is the
 // backend-resident wall time (time spent inside Start/Add/Finish or
 // VerifyAll), so the named stages must sum to it within the small assembly

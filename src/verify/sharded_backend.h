@@ -1,11 +1,14 @@
 // ShardedBackend: the upload stream partitioned into contiguous shards, each
-// batch-verified independently (RLC + MSM) by the in-process executor, cut
-// and dispatched by the streaming spine (src/shard/stream_dispatch.h), and
-// merged by the deterministic combiner.
+// batch-verified independently (RLC + MSM, per-proof blame fallback) by the
+// in-process executor, cut and dispatched by the streaming spine
+// (src/shard/stream_dispatch.h), and merged by the deterministic combiner.
 //
 // Streaming Add keeps memory bounded: full shards leave for pool lanes as
 // soon as they are cut, and Add blocks at the in-flight window. The bulk
-// path partitions the caller's vector in place with no copies.
+// path partitions the caller's vector in place with no copies, into
+// config.num_verify_shards shards. With one shard (batch_verify alone) the
+// whole stream is ONE RLC check: it runs on a single lane that gets the
+// whole pool inside VerifyShard.
 #ifndef SRC_VERIFY_SHARDED_BACKEND_H_
 #define SRC_VERIFY_SHARDED_BACKEND_H_
 
@@ -31,8 +34,10 @@ class ShardedBackend final : public StreamingVerifyBackend<G> {
 
  protected:
   std::unique_ptr<ShardExecutor<G>> MakeExecutor(const VerifyOptions& options,
-                                                 bool /*streaming*/) override {
-    return std::make_unique<InProcessShardExecutor<G>>(config_, ped_, options.pool);
+                                                 bool streaming) override {
+    const size_t forced_lanes = !streaming && config_.num_verify_shards <= 1 ? 1 : 0;
+    return std::make_unique<InProcessShardExecutor<G>>(config_, ped_, options.pool,
+                                                       forced_lanes);
   }
 
   size_t OneShotShardCount(size_t /*n*/) const override {

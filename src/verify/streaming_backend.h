@@ -1,15 +1,13 @@
-// Shared lifecycle for backends that stream: uploads flow through the shard
+// Shared lifecycle for every backend: uploads flow through the shard
 // dispatcher (src/shard/stream_dispatch.h) as they are Added, so shards ship
-// to the backend's executor -- pool threads, verify_worker subprocesses,
-// remote verify_server daemons -- while ingestion continues, and resident
-// memory is bounded by the dispatcher's in-flight window instead of the
-// stream length.
+// to the backend's executor -- pool threads or verify_server daemons --
+// while ingestion continues, and resident memory is bounded by the
+// dispatcher's in-flight window instead of the stream length.
 //
 // Derived classes provide the executor (MakeExecutor) and the historical
 // one-shot shard partition (OneShotShardCount); this base provides the
 // Start/Add/Finish lifecycle, the zero-copy bulk VerifyAll (which discards
-// any buffered stream, like BufferedVerifyBackend's), live Progress, and the
-// canonical stage accounting:
+// any open stream), live Progress, and the canonical stage accounting:
 //
 //   total  = wall time inside Add + wall time inside Finish
 //   ingest = Add wall minus the time Add spent blocked on the window
@@ -44,7 +42,7 @@ class StreamingVerifyBackend : public VerifyBackend<G> {
   }
 
   void Add(ClientUploadMsg<G> upload) override {
-    EnsureStream();  // tolerate Add-before-Start like the buffered backends
+    EnsureStream();  // tolerate Add-before-Start
     TrackFirstAdd();
     Stopwatch timer;
     dispatcher_->Add(std::move(upload));
@@ -189,7 +187,7 @@ class StreamingVerifyBackend : public VerifyBackend<G> {
   }
 
   // The ingest stage as one span: anchored at the first Add, lasting the
-  // backpressure-corrected buffering time (mirrors BufferedVerifyBackend).
+  // backpressure-corrected buffering time.
   void RecordIngestSpan(double ingest_ms) {
     if (options_.tracer == nullptr || !ingested_any_) {
       return;

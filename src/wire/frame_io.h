@@ -1,7 +1,7 @@
-// Blocking frame transport over POSIX file descriptors (worker pipes and
-// the src/net/ socket transport): writes whole frames, reads whole frames
-// under a deadline, and classifies every failure so the pool/fleet drivers
-// can blame the right party (peer died vs. emitted garbage vs. timed out).
+// Blocking frame transport over POSIX file descriptors (the src/net/
+// socket transport and any pipe): writes whole frames, reads whole frames
+// under a deadline, and classifies every failure so the fleet driver can
+// blame the right party (peer died vs. emitted garbage vs. timed out).
 //
 // Signal-safety contract: poll(2)/read(2)/write(2) interrupted by a signal
 // (EINTR) are retried under the same deadline -- a signal landing on the
@@ -32,13 +32,14 @@ const char* ReadStatusName(ReadStatus status);
 enum class WriteStatus {
   kOk,       // the whole frame is in the pipe
   kTimeout,  // deadline expired with the peer not draining the pipe
-  kError,    // write(2)/poll(2) failed (EPIPE when the worker died --
-             // callers must have SIGPIPE ignored, see worker_process.h)
+  kError,    // write(2)/poll(2) failed (EPIPE when the peer died --
+             // callers must have SIGPIPE ignored, see net::IgnoreSigpipe)
 };
 
 // Writes the complete frame. timeout_ms < 0 blocks indefinitely. A deadline
-// only takes effect on fds opened O_NONBLOCK (the driver side of a worker
-// pipe); on a blocking fd a single write(2) can stall regardless of poll.
+// only takes effect on fds opened O_NONBLOCK (a connector socket, see
+// src/net/socket.h); on a blocking fd a single write(2) can stall regardless
+// of poll.
 WriteStatus WriteFrame(int fd, FrameType type, BytesView payload, int timeout_ms = -1);
 
 // Reads exactly one frame. timeout_ms < 0 blocks indefinitely; the deadline

@@ -1,5 +1,5 @@
 // Runtime group selection for processes that learn the backend from the
-// wire (tools/verify_worker): maps a setup frame's group name to the
+// wire (tools/verify_server): maps a setup frame's group name to the
 // matching PrimeOrderGroup instantiation. Thin veneer over the group
 // registry (src/group/registry.h) so the set of wire-reachable backends is
 // exactly the set of registered groups.

@@ -2,7 +2,7 @@
 // ClientUploadMsg<G>, ShardResult<G>) and their group-agnostic wire mirrors
 // (src/wire/wire_format.h). The wire side carries group elements as opaque
 // encodings; this layer is where G::Encode/G::Decode (with strict subgroup
-// checks) happen, so a worker can never be fed an element off the group.
+// checks) happen, so a server can never be fed an element off the group.
 #ifndef SRC_WIRE_WIRE_CONVERT_H_
 #define SRC_WIRE_WIRE_CONVERT_H_
 
@@ -14,7 +14,7 @@
 #include "src/core/messages.h"
 #include "src/core/params.h"
 #include "src/obs/trace.h"
-#include "src/shard/sharded_verifier.h"
+#include "src/shard/shard_result.h"
 #include "src/wire/wire_format.h"
 
 namespace vdp {
@@ -194,7 +194,7 @@ inline std::vector<WireSpan> SpansToWire(const std::vector<obs::SpanRecord>& spa
 }
 
 // The in-memory form of a result's spans, stamped with which process
-// recorded them ("worker:3", "server:host:port"). start_us stays relative to
+// recorded them ("server:host:port"). start_us stays relative to
 // that process's task receipt until TraceCollector::AdoptRemote rebases it.
 inline std::vector<obs::SpanRecord> SpansFromWire(const std::vector<WireSpan>& spans,
                                                   const std::string& proc) {

@@ -127,5 +127,26 @@ TEST(AuditTest, ShapeMismatchRejected) {
   EXPECT_EQ(report.verdict.code, VerdictCode::kMalformedMessage);
 }
 
+// An in-memory transcript whose public bits are not (num_bins x nb) must be
+// refused as malformed before Eq. 10 indexes them: a row one bit short used
+// to read past its end.
+TEST(AuditTest, PublicBitsShapeMismatchRejected) {
+  auto config = AuditConfig();
+  auto rec = RunRecorded(config, "audit-bits-shape");
+  ASSERT_TRUE(rec.result.accepted());
+
+  auto short_row = rec.transcript;
+  short_row.public_bits[1][1].pop_back();
+  auto report = AuditTranscript(short_row, config, rec.ped);
+  EXPECT_FALSE(report.accepted());
+  EXPECT_EQ(report.verdict.code, VerdictCode::kMalformedMessage);
+
+  auto missing_bin = rec.transcript;
+  missing_bin.public_bits[0].pop_back();
+  report = AuditTranscript(missing_bin, config, rec.ped);
+  EXPECT_FALSE(report.accepted());
+  EXPECT_EQ(report.verdict.code, VerdictCode::kMalformedMessage);
+}
+
 }  // namespace
 }  // namespace vdp

@@ -36,8 +36,8 @@ ProtocolConfig E2eConfig(size_t k, size_t m, const std::string& sid) {
     config.num_verify_shards = static_cast<size_t>(std::max(1L, std::strtol(env, nullptr, 10)));
   }
   // Second CI hook: VDP_VERIFY_WORKERS > 1 pushes the same suite through
-  // the multi-process pipeline (verify_worker subprocesses over the wire
-  // format, src/shard/process_pool.h), which is equally decision-identical.
+  // a spawned local verify_server fleet (the remote backend over loopback
+  // sockets), which is equally decision-identical.
   if (const char* env = std::getenv("VDP_VERIFY_WORKERS")) {
     config.verify_workers = static_cast<size_t>(std::max(0L, std::strtol(env, nullptr, 10)));
   }

@@ -1,8 +1,9 @@
 // Cross-mode equivalence: monolithic, in-process-sharded, and multi-process
-// verification are three executions of the same abstract verifier, so on
-// the same seeded transcript they must produce bit-identical accept sets,
-// Eq. 10 commitment products, and audit verdicts -- including on transcripts
-// that contain invalid proofs and on transcripts tampered after the run.
+// verification (verify_workers: a spawned local verify_server fleet) are
+// three executions of the same abstract verifier, so on the same seeded
+// transcript they must produce bit-identical accept sets, Eq. 10 commitment
+// products, and audit verdicts -- including on transcripts that contain
+// invalid proofs and on transcripts tampered after the run.
 #include <gtest/gtest.h>
 
 #include "src/core/audit.h"
@@ -103,7 +104,7 @@ TEST(MultiprocEquivalence, ValidationDecisionsAndProductsAreBitIdentical) {
   auto sharded_verdict = sharded.ValidateClientsReport(uploads);
   auto multiproc_verdict = multiproc.ValidateClientsReport(uploads);
   EXPECT_EQ(sharded_verdict.backend, "sharded");
-  EXPECT_EQ(multiproc_verdict.backend, "multiprocess");
+  EXPECT_EQ(multiproc_verdict.backend, "remote");
   auto direct = DirectProducts(BaseConfig(), uploads, mono_accepted);
   ASSERT_EQ(multiproc_verdict.commitment_products.size(), direct.size());
   for (size_t k = 0; k < direct.size(); ++k) {

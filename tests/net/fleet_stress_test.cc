@@ -1,8 +1,9 @@
-// Fleet drivers under adversarial interleavings, written for the tsan CI
-// job: the process pool and the remote socket fleet execute a streamed run
-// while other threads read Progress/PartialReport and rip the fleet-health
-// report out mid-stream, and a close-faulted server turns every one of its
-// shards into a reconnect -- a reconnect storm with concurrent observers.
+// The fleet driver under adversarial interleavings, written for the tsan CI
+// job: the remote socket fleet executes a streamed run while other threads
+// read Progress/PartialReport and rip the fleet-health report out
+// mid-stream, a close-faulted server turns every one of its shards into a
+// reconnect -- a reconnect storm with concurrent observers -- and a
+// verify_workers backend spawns its fleet mid-stream under an observer.
 // Verdicts must still match the deterministic expectation; under
 // ThreadSanitizer any unsynchronized access in the executors' shared report
 // state or the dispatcher is a hard failure.
@@ -14,7 +15,6 @@
 
 #include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
-#include "src/shard/process_pool.h"
 #include "src/verify/factory.h"
 
 namespace vdp {
@@ -91,18 +91,6 @@ void ExpectVerdict(const VerifyReport<G>& report, size_t n) {
   EXPECT_EQ(report.rejections.size(), 2u);
 }
 
-TEST(FleetStressTest, ProcessPoolStreamWithConcurrentObservers) {
-  ProtocolConfig config = BaseConfig();
-  Pedersen<G> ped;
-  auto uploads = Corpus(config, ped, 15);
-  ProcessPoolOptions options;
-  options.num_workers = 2;
-  MultiprocessVerifier<G> pool(config, ped, options);
-  VerifyReport<G> report = StreamWithObservers(config, &pool, std::move(uploads),
-                                               [&pool] { (void)pool.TakeReport(); });
-  ExpectVerdict(report, 15);
-}
-
 TEST(FleetStressTest, RemoteFleetReconnectStormWithConcurrentObservers) {
   net::LoopbackFleet fleet(2, /*fault=*/"close:0");  // server 0 drops every task
   ProtocolConfig config = BaseConfig();
@@ -122,16 +110,10 @@ TEST(FleetStressTest, RemoteFleetReconnectStormWithConcurrentObservers) {
   ExpectVerdict(report, 15);
 }
 
-// The same storm through the public backend API: the remote backend streams
-// Add/Progress from different threads the way a server frontend would.
-TEST(FleetStressTest, RemoteBackendProgressWhileStreaming) {
-  net::LoopbackFleet fleet(2);
-  ProtocolConfig config = BaseConfig();
-  fleet.ApplyTo(&config);
-  Pedersen<G> ped;
-  auto uploads = Corpus(config, ped, 12);
-
-  auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped);
+// Streams `uploads` through the public backend API the way a server
+// frontend would: Add on this thread, Progress from a monitor thread.
+VerifyReport<G> BackendStreamWithObserver(VerifyBackend<G>* backend,
+                                          std::vector<ClientUploadMsg<G>> uploads) {
   VerifyOptions options;
   options.stream_shard_capacity = 3;
   backend->Start(options);
@@ -148,7 +130,33 @@ TEST(FleetStressTest, RemoteBackendProgressWhileStreaming) {
   VerifyReport<G> report = backend->Finish();
   stop.store(true, std::memory_order_release);
   monitor.join();
-  ExpectVerdict(report, 12);
+  return report;
+}
+
+TEST(FleetStressTest, RemoteBackendProgressWhileStreaming) {
+  net::LoopbackFleet fleet(2);
+  ProtocolConfig config = BaseConfig();
+  fleet.ApplyTo(&config);
+  Pedersen<G> ped;
+  auto uploads = Corpus(config, ped, 12);
+
+  auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped);
+  ExpectVerdict(BackendStreamWithObserver(backend.get(), std::move(uploads)), 12);
+}
+
+// verify_workers: the backend spawns its own server fleet on the producer
+// thread when the stream opens, while the monitor is already polling.
+TEST(FleetStressTest, VerifyWorkersStreamWithConcurrentObserver) {
+  ProtocolConfig config = BaseConfig();
+  config.verify_workers = 2;
+  Pedersen<G> ped;
+  auto uploads = Corpus(config, ped, 15);
+
+  RemoteBackend<G> backend(config, ped);
+  ExpectVerdict(BackendStreamWithObserver(&backend, std::move(uploads)), 15);
+  const RemoteFleetReport& report = backend.last_fleet_report();
+  EXPECT_EQ(report.shards_from_remote, report.shards_total);
+  EXPECT_TRUE(report.failures.empty()) << "first failure: " << report.failures[0].reason;
 }
 
 }  // namespace

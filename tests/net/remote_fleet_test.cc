@@ -328,15 +328,37 @@ TEST_F(RemoteFleetTest, DeadEndpointsAreSkippedAtDispatchVerdictUnchanged) {
   const uint64_t skips_before =
       obs::GlobalCounter(obs::kFleetDispatchSkips)->value();
   RemoteVerifierFleet<G> verifier(config, ped_, options);
+
+  // Lane by lane: the dispatcher's lanes share one queue, so the dead lane's
+  // fast in-process fallback could drain every shard before the live lane
+  // wakes. Driving each lane directly pins which endpoint serves what.
+  auto slice = [&](size_t shard_index, size_t base, size_t count) {
+    ShardPayload<G> shard;
+    shard.shard_index = shard_index;
+    shard.base = base;
+    shard.view = uploads.data() + base;
+    shard.view_count = count;
+    return shard;
+  };
+  verifier.BeginStream(nullptr, {});
+  auto live = verifier.ExecuteShard(0, slice(0, 0, 7));
+  auto dead = verifier.ExecuteShard(1, slice(1, 7, 7));
+  verifier.CloseLane(0);
+  verifier.CloseLane(1);
+  EXPECT_EQ(live.accepted, VerifyShard(config, ped_, uploads.data(), 7, 0, 0).accepted);
+  EXPECT_EQ(dead.accepted, VerifyShard(config, ped_, uploads.data() + 7, 7, 7, 1).accepted);
+  EXPECT_GT(obs::GlobalCounter(obs::kFleetDispatchSkips)->value(), skips_before);
+  RemoteFleetReport lanes = verifier.TakeReport();
+  // The live lane carried real remote work; the dead lane's shard was
+  // recovered locally; a skip is a policy decision, not a failure.
+  EXPECT_EQ(lanes.shards_from_remote, 1u);
+  EXPECT_EQ(lanes.shards_recovered_in_process, 1u);
+  EXPECT_TRUE(lanes.failures.empty()) << "first failure: " << lanes.failures[0].reason;
+
+  // And the full stream through the dispatcher: verdict unchanged.
   RemoteFleetReport report;
   auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
-
   ExpectMatchesOracle(config, verdict, uploads);
-  EXPECT_GT(obs::GlobalCounter(obs::kFleetDispatchSkips)->value(), skips_before);
-  // The dead lane's shards were recovered locally; the live lane still
-  // carried real remote work; a skip is a policy decision, not a failure.
-  EXPECT_GT(report.shards_recovered_in_process, 0u);
-  EXPECT_GT(report.shards_from_remote, 0u);
   EXPECT_EQ(report.shards_from_remote + report.shards_recovered_in_process,
             report.shards_total);
 }

@@ -8,9 +8,11 @@
 // the group registry: VDP_GROUP selects which compiled-in group runs (the CI
 // group-matrix job exports ed25519; default modp-256), so the same binary
 // proves conformance for the mod-p and curve arithmetic paths alike. The
-// multiprocess backend's worker count honors VDP_VERIFY_WORKERS (the CI
-// backend-matrix job exports 3) so the fleet shape under test varies across
-// workflow configurations without changing any decision.
+// remote backend runs on its own spawned verify_workers fleet, whose size
+// honors VDP_VERIFY_WORKERS (the CI backend-matrix job exports 0 and 3), so
+// the fleet shape under test varies across workflow configurations without
+// changing any decision; the fleet-failure cases below drive explicit
+// remote_verifiers fleets.
 #include <gtest/gtest.h>
 #include <signal.h>
 
@@ -64,22 +66,15 @@ struct Suite {
     switch (kind) {
       case VerifyBackendKind::kPerProof:
         break;
-      case VerifyBackendKind::kBatched:
-        config.batch_verify = true;
-        break;
       case VerifyBackendKind::kSharded:
         config.num_verify_shards = 5;
         break;
-      case VerifyBackendKind::kMultiprocess:
+      case VerifyBackendKind::kRemote:
+        // A real loopback socket fleet, spawned by each backend on first use
+        // and down with it. The servers select this group from the wire
+        // setup frame.
         config.num_verify_shards = 5;
         config.verify_workers = WorkersFromEnv();
-        break;
-      case VerifyBackendKind::kRemote:
-        // A real loopback socket fleet, shared across the suite (spawned on
-        // first use, down with the process). The fleet's workers select this
-        // group from the wire setup frame, so one fleet serves every group.
-        config.num_verify_shards = 5;
-        net::SharedLoopbackFleet(2).ApplyTo(&config);
         break;
     }
     return config;
@@ -368,8 +363,8 @@ struct Suite {
   // --- cross-backend (not parameterized) ----------------------------------
 
   // The rejection-reason regression: the typed RejectionReasons -- code,
-  // detail, AND rendered legacy string -- must be identical from all five
-  // backends, pinned against literal expectations so a drift in any one path
+  // detail, AND rendered legacy string -- must be identical from every
+  // backend, pinned against literal expectations so a drift in any one path
   // fails loudly.
   static void AllBackendsRenderIdenticalReasons() {
     Pedersen<G> ped;
@@ -542,27 +537,30 @@ TEST(RemoteFailureConformanceTest, RecoveryAfterKilledServer) {
   });
 }
 
-// Factory policy: group-independent, pinned on the default group. The flag
-// combinations of PRs 1-3 keep selecting the same execution strategies, now
-// through one function.
-TEST(BackendFactoryTest, SelectionPolicyMatchesLegacyFlags) {
+// Factory policy: group-independent, pinned on the default group. Three
+// strategies: the per-proof oracle, the in-process sharded pipeline (which a
+// lone batch_verify runs as one whole-stream shard), and the server fleet
+// (which verify_workers spawns locally).
+TEST(BackendFactoryTest, SelectionPolicyMatchesFlags) {
+  EXPECT_EQ(AllVerifyBackendKinds().size(), 3u);
   ProtocolConfig config;
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kPerProof);
   config.batch_verify = true;
-  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kBatched);
+  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
   config.num_verify_shards = 4;
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
   config.verify_workers = 3;
-  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kMultiprocess);
+  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);
 
-  // Sharding wins over batch_verify alone; workers win over both; a
-  // provisioned remote fleet wins over everything.
+  // Sharding alone selects sharded; workers win over both; a provisioned
+  // remote fleet wins over everything.
   ProtocolConfig sharded_only;
   sharded_only.num_verify_shards = 2;
   EXPECT_EQ(SelectVerifyBackend(sharded_only), VerifyBackendKind::kSharded);
   ProtocolConfig workers_only;
   workers_only.verify_workers = 2;
-  EXPECT_EQ(SelectVerifyBackend(workers_only), VerifyBackendKind::kMultiprocess);
+  EXPECT_EQ(SelectVerifyBackend(workers_only), VerifyBackendKind::kRemote);
+  config.verify_workers = 0;
   config.remote_verifiers = {"tcp:127.0.0.1:7000"};
   config.remote_auth_key_hex = std::string(32, 'a');
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);

@@ -1,11 +1,12 @@
-// Sharded verification pipeline (src/shard/): the combined verdict must be
-// bit-identical to the monolithic PublicVerifier path -- accepted set,
-// rejection reasons, and Eq. 10 commitment products -- and blame attribution
-// must stay confined to the shard containing the corrupted upload.
+// The in-process sharded backend (src/verify/sharded_backend.h over the
+// src/shard/ pipeline): the combined verdict must be bit-identical to the
+// monolithic PublicVerifier path -- accepted set, rejection reasons, and
+// Eq. 10 commitment products -- and blame attribution must stay confined to
+// the shard containing the corrupted upload.
 #include <gtest/gtest.h>
 
 #include "src/core/audit.h"
-#include "src/shard/sharded_verifier.h"
+#include "src/verify/factory.h"
 
 namespace vdp {
 namespace {
@@ -39,6 +40,17 @@ std::vector<ClientUploadMsg<G>> MakeUploads(const ProtocolConfig& config,
   return uploads;
 }
 
+std::unique_ptr<VerifyBackend<G>> Sharded(const ProtocolConfig& config,
+                                          const Pedersen<G>& ped) {
+  return MakeVerifyBackend<G>(VerifyBackendKind::kSharded, config, ped);
+}
+
+VerifyOptions WithPool(ThreadPool* pool) {
+  VerifyOptions options;
+  options.pool = pool;
+  return options;
+}
+
 // The monolithic oracle's view of the Eq. 10 client product.
 std::vector<std::vector<Element>> DirectProducts(const ProtocolConfig& config,
                                                  const std::vector<ClientUploadMsg<G>>& uploads,
@@ -56,10 +68,10 @@ std::vector<std::vector<Element>> DirectProducts(const ProtocolConfig& config,
 }
 
 // The headline equivalence test: >= 4096 uploads, a few corrupted, verified
-// monolithically (batched and per-proof) and sharded -- all three must
-// produce the same accepted set, and the sharded commitment products must
-// equal the direct product over the accepted set.
-TEST(ShardedVerifierTest, FourThousandUploadsMatchMonolithic) {
+// monolithically (one whole-stream batch and per-proof) and sharded -- all
+// three must produce the same accepted set, and the sharded commitment
+// products must equal the direct product over the accepted set.
+TEST(ShardedBackendTest, FourThousandUploadsMatchMonolithic) {
   SecureRng rng("shard-4096");
   auto config = ShardConfig(1, 1, 8, "shard-4096");
   Pedersen<G> ped;
@@ -117,7 +129,7 @@ TEST(ShardedVerifierTest, FourThousandUploadsMatchMonolithic) {
 
 // Blame attribution is confined: with one corrupted upload, exactly one
 // shard reports fallback_used, and it is the shard holding the corruption.
-TEST(ShardedVerifierTest, FallbackConfinedToCorruptedShard) {
+TEST(ShardedBackendTest, FallbackConfinedToCorruptedShard) {
   SecureRng rng("shard-confined");
   auto config = ShardConfig(2, 2, 4, "shard-confined");
   Pedersen<G> ped;
@@ -141,7 +153,7 @@ TEST(ShardedVerifierTest, FallbackConfinedToCorruptedShard) {
   }
 
   // And the combined verdict agrees with the monolithic path.
-  auto verdict = ShardedVerifier<G>::VerifyAll(config, ped, uploads);
+  auto verdict = Sharded(config, ped)->VerifyAll(uploads);
   EXPECT_EQ(verdict.shards_with_fallback, 1u);
   auto monolithic_config = config;
   monolithic_config.num_verify_shards = 1;
@@ -151,7 +163,7 @@ TEST(ShardedVerifierTest, FallbackConfinedToCorruptedShard) {
 
 // The streaming API must agree with one-shot verification and keep shard
 // accounting consistent (contiguous bases, ceil(n/capacity) shards).
-TEST(ShardedVerifierTest, StreamingMatchesOneShot) {
+TEST(ShardedBackendTest, StreamingMatchesOneShot) {
   SecureRng rng("shard-stream");
   auto config = ShardConfig(2, 3, 5, "shard-stream");
   Pedersen<G> ped;
@@ -160,13 +172,16 @@ TEST(ShardedVerifierTest, StreamingMatchesOneShot) {
   uploads[29].sum_randomness += S::One();  // breaks the one-hot opening
 
   ThreadPool pool(3);
-  ShardedVerifier<G> streaming(config, ped, &pool, /*shard_capacity=*/8,
-                               /*max_pending_shards=*/2);
+  auto streaming = Sharded(config, ped);
+  VerifyOptions stream_options = WithPool(&pool);
+  stream_options.stream_shard_capacity = 8;
+  stream_options.stream_max_inflight_shards = 2;
+  streaming->Start(stream_options);
   for (const auto& u : uploads) {
-    streaming.Add(u);
+    streaming->Add(u);
   }
-  auto stream_verdict = streaming.Finish();
-  auto oneshot_verdict = ShardedVerifier<G>::VerifyAll(config, ped, uploads, &pool);
+  auto stream_verdict = streaming->Finish();
+  auto oneshot_verdict = Sharded(config, ped)->VerifyAll(uploads, WithPool(&pool));
 
   EXPECT_EQ(stream_verdict.accepted, oneshot_verdict.accepted);
   EXPECT_EQ(stream_verdict.rejections, oneshot_verdict.rejections);
@@ -180,21 +195,23 @@ TEST(ShardedVerifierTest, StreamingMatchesOneShot) {
     }
   }
 
-  // A finished verifier is reset: a second stream starts from index 0.
-  streaming.Add(uploads[0]);
-  auto second = streaming.Finish();
+  // A finished backend is reset: a second stream starts from index 0.
+  streaming->Start(stream_options);
+  streaming->Add(uploads[0]);
+  auto second = streaming->Finish();
   EXPECT_EQ(second.accepted, (std::vector<size_t>{0}));
   EXPECT_EQ(second.total_uploads, 1u);
 }
 
-TEST(ShardedVerifierTest, EdgeShapes) {
+TEST(ShardedBackendTest, EdgeShapes) {
   SecureRng rng("shard-edges");
   auto config = ShardConfig(1, 2, 6, "shard-edges");
   Pedersen<G> ped;
 
   // Empty stream.
-  ShardedVerifier<G> empty(config, ped);
-  auto verdict = empty.Finish();
+  auto empty = Sharded(config, ped);
+  empty->Start(VerifyOptions{});
+  auto verdict = empty->Finish();
   EXPECT_TRUE(verdict.accepted.empty());
   EXPECT_EQ(verdict.num_shards, 0u);
   ASSERT_EQ(verdict.commitment_products.size(), 1u);
@@ -202,15 +219,57 @@ TEST(ShardedVerifierTest, EdgeShapes) {
 
   // More shards than uploads: collapses to one shard per upload, same verdict.
   auto uploads = MakeUploads(config, ped, 3, rng);
-  auto small = ShardedVerifier<G>::VerifyAll(config, ped, uploads);
+  auto small = Sharded(config, ped)->VerifyAll(uploads);
   EXPECT_EQ(small.accepted, (std::vector<size_t>{0, 1, 2}));
   EXPECT_EQ(small.num_shards, 3u);
+}
+
+// batch_verify alone is the sharded backend on one whole-stream shard: the
+// one-shot run is a single RLC batch (one shard, the pool inside it), and
+// streaming still cuts bounded-memory shards -- both with the oracle's
+// decisions.
+TEST(ShardedBackendTest, BatchVerifyAloneIsOneWholeStreamShard) {
+  SecureRng rng("shard-batch-only");
+  auto config = ShardConfig(1, 2, 1, "shard-batch-only");
+  Pedersen<G> ped;
+  auto uploads = MakeUploads(config, ped, 40, rng);
+  uploads[17].bin_proofs[0].z0 += S::One();
+
+  ASSERT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
+  auto per_proof_config = config;
+  per_proof_config.batch_verify = false;
+  ASSERT_EQ(SelectVerifyBackend(per_proof_config), VerifyBackendKind::kPerProof);
+  auto oracle = MakeVerifyBackend<G>(per_proof_config, ped)->VerifyAll(uploads);
+
+  ThreadPool pool(2);
+  auto backend = MakeVerifyBackend<G>(config, ped);
+  auto oneshot = backend->VerifyAll(uploads, WithPool(&pool));
+  EXPECT_EQ(oneshot.backend, "sharded");
+  EXPECT_EQ(oneshot.num_shards, 1u);
+  EXPECT_EQ(oneshot.shards_with_fallback, 1u);
+  EXPECT_EQ(oneshot.accepted, oracle.accepted);
+  EXPECT_EQ(oneshot.rejections, oracle.rejections);
+
+  VerifyOptions options = WithPool(&pool);
+  options.stream_shard_capacity = 16;
+  backend->Start(options);
+  for (const auto& u : uploads) {
+    backend->Add(u);
+  }
+  auto streamed = backend->Finish();
+  EXPECT_EQ(streamed.num_shards, 3u);  // ceil(40 / 16)
+  EXPECT_EQ(streamed.accepted, oracle.accepted);
+  EXPECT_EQ(streamed.rejections, oracle.rejections);
+  for (size_t m = 0; m < config.num_bins; ++m) {
+    EXPECT_EQ(streamed.commitment_products[0][m], oneshot.commitment_products[0][m]);
+    EXPECT_EQ(oracle.commitment_products[0][m], oneshot.commitment_products[0][m]);
+  }
 }
 
 // End-to-end: the full protocol with sharded validation accepts and produces
 // the same histogram as the unsharded run with the same seed; a bystander
 // audit configured with sharding reaches the same verdict.
-TEST(ShardedVerifierTest, ProtocolAndAuditWithShardsMatchUnsharded) {
+TEST(ShardedBackendTest, ProtocolAndAuditWithShardsMatchUnsharded) {
   auto config = ShardConfig(2, 3, 3, "shard-e2e");
   std::vector<uint32_t> values = {0, 1, 2, 1, 1, 0, 2, 2, 1};
 
@@ -257,7 +316,7 @@ TEST(ShardedVerifierTest, ProtocolAndAuditWithShardsMatchUnsharded) {
 // dropped by the prover-side consistency filter *after* sharded validation;
 // the protocol must then fall back to recomputing the Eq. 10 product from
 // the consistent set rather than reusing the sharded products.
-TEST(ShardedVerifierTest, InconsistentShareForcesProductRecomputation) {
+TEST(ShardedBackendTest, InconsistentShareForcesProductRecomputation) {
   auto config = ShardConfig(2, 2, 2, "shard-inconsistent");
   Pedersen<G> ped;
   SecureRng rng("shard-inconsistent-run");

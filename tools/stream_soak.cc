@@ -18,8 +18,8 @@
 // memory ceiling is checkable from the committed log alone.
 //
 // Usage:
-//   stream_soak [--uploads N] [--backend per-proof|sharded|multiprocess|remote]
-//               [--shard-capacity N] [--window N] [--workers N]
+//   stream_soak [--uploads N] [--backend per-proof|sharded|remote]
+//               [--shard-capacity N] [--window N]
 //               [--endpoints N] [--fault <mode>:<id|all>] [--tamper-every K]
 //               [--rss-limit-mb M] [--metrics-out PATH] [--scenario NAME]
 #include <cstdio>
@@ -41,7 +41,7 @@ namespace {
 
 // The 64-bit toy group: small enough that a million sigma proofs are cheap
 // to make and check, registered end-to-end (wire dispatch included) so the
-// multiprocess and remote paths run the real serialization.
+// remote path runs the real serialization.
 using G = vdp::ModP64;
 
 struct SoakArgs {
@@ -49,7 +49,6 @@ struct SoakArgs {
   std::string backend = "sharded";
   size_t shard_capacity = 4096;
   size_t window = 0;  // 0 = dispatcher default (two shards per lane)
-  size_t workers = 2;
   size_t endpoints = 2;
   std::string fault;
   size_t tamper_every = 0;  // 0 = clean stream
@@ -73,8 +72,6 @@ struct SoakArgs {
         args.shard_capacity = std::strtoull(value, nullptr, 10);
       } else if (flag == "--window" && (value = next())) {
         args.window = std::strtoull(value, nullptr, 10);
-      } else if (flag == "--workers" && (value = next())) {
-        args.workers = std::strtoull(value, nullptr, 10);
       } else if (flag == "--endpoints" && (value = next())) {
         args.endpoints = std::strtoull(value, nullptr, 10);
       } else if (flag == "--fault" && (value = next())) {
@@ -160,14 +157,8 @@ int main(int argc, char** argv) {
   switch (*kind) {
     case vdp::VerifyBackendKind::kPerProof:
       break;
-    case vdp::VerifyBackendKind::kBatched:
-      config.batch_verify = true;
-      break;
     case vdp::VerifyBackendKind::kSharded:
       config.num_verify_shards = 8;
-      break;
-    case vdp::VerifyBackendKind::kMultiprocess:
-      config.verify_workers = args.workers < 2 ? 2 : args.workers;
       break;
     case vdp::VerifyBackendKind::kRemote:
       fleet = std::make_unique<vdp::net::LoopbackFleet>(args.endpoints, args.fault);
@@ -175,8 +166,8 @@ int main(int argc, char** argv) {
       break;
   }
 
-  // Run-log plumbing: every writer (this process and any worker/server
-  // subprocess reached through $VDP_METRICS_OUT) must append.
+  // Run-log plumbing: every writer (this process and any verify_server
+  // reached through $VDP_METRICS_OUT) must append.
   const char* out_env = std::getenv("VDP_METRICS_OUT");
   std::string log_path = !args.metrics_out.empty() ? args.metrics_out
                          : out_env != nullptr && out_env[0] != '\0'
@@ -199,7 +190,6 @@ int main(int argc, char** argv) {
     header.n_uploads = args.uploads;
     header.num_shards = config.num_verify_shards;
     header.pool_threads = hw;
-    header.verify_workers = config.verify_workers;
     header.remote_endpoints = config.remote_verifiers.size();
     header.notes = "capacity=" + std::to_string(args.shard_capacity) +
                    " window=" + std::to_string(args.window) +

@@ -1,6 +1,6 @@
-// verify_server: one remote shard-verification daemon of the multi-machine
-// pipeline (src/net/remote_fleet.h) -- the socket twin of
-// tools/verify_worker.
+// verify_server: one shard-verification daemon of the fleet pipeline
+// (src/net/remote_fleet.h) -- on another machine, or spawned on loopback by
+// the driver itself for ProtocolConfig::verify_workers.
 //
 // Per connection (all frames per src/wire/wire_format.h over the socket):
 //   1. server -> driver: kServerHello (wire version, pid, --id, nonce)
@@ -23,7 +23,7 @@
 //
 // Connections are served one thread each and are independent sessions; the
 // server is stateless across connections. Verification itself is the same
-// VerifyShard (src/shard/sharded_verifier.h) every other backend runs, so
+// VerifyShard (src/shard/shard_result.h) every other backend runs, so
 // results are bit-identical by construction.
 //
 // Usage:
@@ -49,13 +49,14 @@
 //                $VDP_METRICS_OUT is the env twin.
 // --health-interval  also flush a metrics snapshot to the run-log every N
 //                milliseconds, so a daemon between sessions still trends.
-// --fault        test hook, same spirit as verify_worker's VDP_WORKER_FAULT
-//                (env VDP_SERVER_FAULT is honored too): mode one of
-//                crash | garbage | hang (on task, like the worker), plus the
-//                remote-only modes close (drop the connection mid-shard),
-//                wrongshard (answer with a well-formed result for the wrong
-//                shard identity), staledigest (ack the setup with a wrong
-//                digest). Applies when <id|all> matches --id.
+// --fault        test hook (env VDP_SERVER_FAULT is honored too, so servers
+//                a driver spawns for verify_workers inherit it): mode one
+//                of crash (exit 134 on task), garbage (answer a task with
+//                an unauthenticated frame), hang (never answer), close
+//                (drop the connection mid-shard), wrongshard (answer with a
+//                well-formed result for the wrong shard identity),
+//                staledigest (ack the setup with a wrong digest). Applies
+//                when <id|all> matches --id.
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
@@ -78,8 +79,7 @@
 #include "src/net/introspect.h"
 #include "src/net/socket.h"
 #include "src/obs/runlog.h"
-#include "src/shard/sharded_verifier.h"
-#include "src/shard/worker_process.h"
+#include "src/shard/shard_result.h"
 #include "src/wire/group_dispatch.h"
 #include "src/wire/wire_convert.h"
 
@@ -475,7 +475,7 @@ void AwaitShutdownSignal(sigset_t set) {
 }
 
 int ServerMain(int argc, char** argv) {
-  IgnoreSigpipe();
+  net::IgnoreSigpipe();
   std::string listen_spec = "tcp:127.0.0.1:0";
   std::string key_file;
   std::string fault_spec;
