@@ -2,10 +2,11 @@
 // costs the protocol layers are built on. For each group: generic Exp,
 // comb fixed-base Exp (the Pedersen/verifier path), wNAF and Pippenger MSM
 // per-term cost, plain group Mul, (batch) encoding, strict Decode of a member
-// encoding (the public auditor's per-element cost), and the field square root
-// inside that decode. One table makes the comb and kernel speedups visible
-// per group, and the committed BENCH_group_ops.json baseline plus the CI
-// artifact keep them trended.
+// encoding (the public auditor's per-element cost), the field square root
+// inside that decode, the client's OR proof per secret bit, and the wide
+// reduction behind every Fiat-Shamir challenge. One table makes the comb and
+// kernel speedups visible per group, and the committed BENCH_group_ops.json
+// baseline plus the CI artifact keep them trended.
 //
 // Usage: bench_group_ops [out.json]   (default BENCH_group_ops.json)
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include "src/common/timer.h"
 #include "src/group/fixed_base.h"
 #include "src/group/registry.h"
+#include "src/sigma/or_proof.h"
 
 namespace {
 
@@ -50,6 +52,8 @@ struct GroupRow {
   double encode_batch_us = 0;  // per element, batch of 256
   double decode_us = 0;        // strict Decode (range + subgroup) of a member
   double sqrt_us = -1;         // field square root in Decode; < 0: none
+  double or_prove_us[2] = {0, 0};  // OrProve of a bit-0 / bit-1 commitment
+  double scalar_wide_us = 0;       // FromBytesWide of a 32-byte digest
 };
 
 template <vdp::PrimeOrderGroup G>
@@ -160,8 +164,32 @@ GroupRow Measure() {
     row.sqrt_us = timer.ElapsedMillis() * 1000.0 / reps;
   }
 
+  // The client's OR proof for each secret bit: both run one ExpH and one
+  // Commit, so the two columns should agree.
+  vdp::Pedersen<G> ped;
+  size_t proved = 0;
+  for (int bit : {0, 1}) {
+    const S r = S::Random(rng);
+    const auto c = ped.Commit(S::FromU64(static_cast<uint64_t>(bit)), r);
+    timer.Reset();
+    for (size_t i = 0; i < reps; ++i) {
+      proved += vdp::OrProve(ped, c, bit, r, rng, "bench").z0.IsZero() ? 0 : 1;
+    }
+    row.or_prove_us[bit] = timer.ElapsedMillis() * 1000.0 / reps;
+  }
+
+  const size_t wide_reps = reps * 20;
+  const vdp::Bytes digest = rng.RandomBytes(32);
+  auto wide_sink = S::Zero();
+  timer.Reset();
+  for (size_t i = 0; i < wide_reps; ++i) {
+    wide_sink += S::FromBytesWide(digest);
+  }
+  row.scalar_wide_us = timer.ElapsedMillis() * 1000.0 / wide_reps;
+
   // Keep the accumulators alive so nothing is optimized away.
-  if (G::Encode(sink).empty() || enc_bytes == 0 || decoded == 0) {
+  if (G::Encode(sink).empty() || enc_bytes == 0 || decoded == 0 || proved == 0 ||
+      wide_sink.Encode().empty()) {
     std::fprintf(stderr, "impossible: empty encoding\n");
   }
   return row;
@@ -178,14 +206,15 @@ int main(int argc, char** argv) {
     rows.push_back(Measure<G>());
   });
 
-  std::printf("\n%-18s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s\n", "group",
-              "bits", "exp(us)", "comb(us)", "wnaf/t(us)", "pip/t(us)", "mul(us)", "enc(us)",
-              "encB(us)", "dec(us)", "sqrt(us)");
+  std::printf("\n%-18s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s %10s %10s %10s\n",
+              "group", "bits", "exp(us)", "comb(us)", "wnaf/t(us)", "pip/t(us)", "mul(us)",
+              "enc(us)", "encB(us)", "dec(us)", "or0(us)", "or1(us)", "wide(us)", "sqrt(us)");
   for (const auto& r : rows) {
     std::printf("%-18s %6zu %12.2f %12.2f %12.2f %12.2f %10.3f %10.3f %10.3f %10.2f ",
                 r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us,
                 r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us, r.mul_us, r.encode_us,
                 r.encode_batch_us, r.decode_us);
+    std::printf("%10.2f %10.2f %10.3f ", r.or_prove_us[0], r.or_prove_us[1], r.scalar_wide_us);
     if (r.sqrt_us < 0) {
       std::printf("%10s\n", "-");
     } else {
@@ -212,10 +241,12 @@ int main(int argc, char** argv) {
                  "\"exp_comb_us\": %.3f, \"table_build_ms\": %.3f, "
                  "\"msm_wnaf_per_term_us\": %.3f, \"msm_pippenger_per_term_us\": %.3f, "
                  "\"mul_us\": %.4f, \"encode_us\": %.4f, \"encode_batch_us\": %.4f, "
-                 "\"decode_us\": %.3f, \"sqrt_us\": %s}%s\n",
+                 "\"decode_us\": %.3f, \"sqrt_us\": %s, \"or_prove_bit0_us\": %.3f, "
+                 "\"or_prove_bit1_us\": %.3f, \"scalar_wide_us\": %.4f}%s\n",
                  r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us,
                  r.table_build_ms, r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us,
                  r.mul_us, r.encode_us, r.encode_batch_us, r.decode_us, sqrt_json.c_str(),
+                 r.or_prove_us[0], r.or_prove_us[1], r.scalar_wide_us,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

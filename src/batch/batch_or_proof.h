@@ -16,6 +16,7 @@
 #ifndef SRC_BATCH_BATCH_OR_PROOF_H_
 #define SRC_BATCH_BATCH_OR_PROOF_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,52 @@ struct OrInstance {
   std::string context;
 };
 
+namespace internal {
+
+// Check (1) for every instance, then the combiner generator bound to the
+// whole batch; nullopt when any split e0 + e1 == e fails. Every (c, a0, a1)
+// is encoded once, in one batch (one shared field inversion on curve
+// groups): the challenges and the combiner transcript both read these
+// bytes, and they are freed on return, before the caller's MSM.
+template <PrimeOrderGroup G>
+std::optional<SecureRng> CheckOrSplits(const Pedersen<G>& ped,
+                                       const std::vector<OrInstance<G>>& instances,
+                                       ThreadPool* pool) {
+  const size_t n = instances.size();
+  std::vector<typename G::Element> es;
+  es.reserve(3 * n);
+  for (const OrInstance<G>& inst : instances) {
+    es.push_back(inst.c);
+    es.push_back(inst.proof.a0);
+    es.push_back(inst.proof.a1);
+  }
+  const std::vector<Bytes> enc = EncodeAll<G>(es);
+
+  std::vector<uint8_t> split_ok(n, 0);
+  ForEachIndex(pool, n, [&](size_t i) {
+    const OrProof<G>& p = instances[i].proof;
+    const auto e = OrChallenge(ped, enc[3 * i], enc[3 * i + 1], enc[3 * i + 2],
+                               instances[i].context);
+    split_ok[i] = p.e0 + p.e1 == e ? 1 : 0;
+  });
+  for (uint8_t ok : split_ok) {
+    if (ok == 0) {
+      return std::nullopt;
+    }
+  }
+
+  Transcript fork("vdp/batch-or");
+  fork.AppendU64("count", n);
+  for (size_t i = 0; i < n; ++i) {
+    fork.Append("context", ToBytes(instances[i].context));
+    fork.Append("c", enc[3 * i]);
+    fork.Append("proof", instances[i].proof.Serialize(enc[3 * i + 1], enc[3 * i + 2]));
+  }
+  return ForkCombinerRng(fork);
+}
+
+}  // namespace internal
+
 // Batched equivalent of calling OrVerify on every instance. Must not be
 // invoked from inside a ThreadPool task (the MSM shards onto the pool).
 template <PrimeOrderGroup G>
@@ -44,40 +91,10 @@ bool BatchOrVerify(const Pedersen<G>& ped, const std::vector<OrInstance<G>>& ins
     return true;
   }
 
-  // Check (1): recompute challenges (hashing only) and verify the split.
-  std::vector<S> challenges(n);
-  auto derive = [&](size_t i) {
-    challenges[i] = OrChallenge(ped, instances[i].c, instances[i].proof.a0,
-                                instances[i].proof.a1, instances[i].context);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, derive);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      derive(i);
-    }
+  std::optional<SecureRng> rng = internal::CheckOrSplits(ped, instances, pool);
+  if (!rng.has_value()) {
+    return false;
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (instances[i].proof.e0 + instances[i].proof.e1 != challenges[i]) {
-      return false;
-    }
-  }
-
-  // Combiners are bound to the whole batch. Commitments are encoded in one
-  // batch (one shared field inversion on curve groups instead of n).
-  std::vector<typename G::Element> cs(n);
-  for (size_t i = 0; i < n; ++i) {
-    cs[i] = instances[i].c;
-  }
-  std::vector<Bytes> enc_cs = EncodeAll<G>(cs);
-  Transcript fork("vdp/batch-or");
-  fork.AppendU64("count", n);
-  for (size_t i = 0; i < n; ++i) {
-    fork.Append("context", ToBytes(instances[i].context));
-    fork.Append("c", enc_cs[i]);
-    fork.Append("proof", instances[i].proof.Serialize());
-  }
-  SecureRng rng = ForkCombinerRng(fork);
 
   S sum_h = S::Zero();  // exponent of h on the left side
   S sum_g = S::Zero();  // exponent of g on the left side
@@ -87,8 +104,8 @@ bool BatchOrVerify(const Pedersen<G>& ped, const std::vector<OrInstance<G>>& ins
   scalars.reserve(3 * n);
   for (size_t i = 0; i < n; ++i) {
     const OrProof<G>& p = instances[i].proof;
-    S alpha = SampleCombiner<S>(rng);
-    S beta = SampleCombiner<S>(rng);
+    S alpha = SampleCombiner<S>(*rng);
+    S beta = SampleCombiner<S>(*rng);
     sum_h += alpha * p.z0 + beta * p.z1;
     sum_g += beta * p.e1;
     bases.push_back(p.a0);

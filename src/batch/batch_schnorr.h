@@ -47,13 +47,7 @@ bool BatchSchnorrVerify(const std::vector<SchnorrInstance<G>>& instances,
     challenges[i] =
         SchnorrChallenge<G>(instances[i].base, instances[i].y, instances[i].proof.commit, t);
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, derive);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      derive(i);
-    }
-  }
+  ForEachIndex(pool, n, derive);
 
   // Combiners are bound to the whole batch; statements encode in one batch
   // (one shared field inversion on curve groups instead of 2n).

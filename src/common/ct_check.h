@@ -8,9 +8,10 @@
 // secret-dependent branch or early-exit drives |t| past any threshold.
 //
 // tools/ct_audit.cc runs the engine over every verdict-relevant primitive
-// (ConstantTimeEqual, HMAC verification, session-key derivation) alongside
-// positive controls that MUST be flagged, and is wired into CI as its own
-// job. tests/common/ct_check_test.cc pins the engine's math.
+// (ConstantTimeEqual, HMAC verification, session-key derivation) and the OR
+// prover's secret bit, alongside positive controls that MUST be flagged, and
+// is wired into CI as its own job. tests/common/ct_check_test.cc pins the
+// engine's math.
 #ifndef SRC_COMMON_CT_CHECK_H_
 #define SRC_COMMON_CT_CHECK_H_
 

@@ -121,6 +121,16 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
   }
 }
 
+void ForEachIndex(ThreadPool* pool, size_t count, const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(count, fn);
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    fn(i);
+  }
+}
+
 ThreadPool& GlobalPool() {
   // Intentionally leaked: a function-local static ThreadPool would run its
   // destructor during static teardown, joining workers while other static

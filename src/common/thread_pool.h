@@ -43,6 +43,10 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
+// Runs fn(i) for i in [0, count): on `pool` when there is one, else inline on
+// the calling thread.
+void ForEachIndex(ThreadPool* pool, size_t count, const std::function<void(size_t)>& fn);
+
 // Process-wide pool sized to the machine; use for batch crypto operations.
 // The pool is intentionally leaked (never destroyed): joining workers from a
 // static destructor can deadlock against other static teardown.

@@ -51,30 +51,38 @@ ClientBundle<G> MakeClientBundle(uint32_t choice, size_t client_index,
     bundle.upload.commitments[p].resize(m);
   }
 
+  // Each bin's proof is begun in the loop (keeping the RNG order: shares,
+  // randomness, then the proof's draws), and all M are finished after one
+  // batch encoding of their first messages.
+  std::vector<int> bits(m);
+  std::vector<S> bin_randomness(m, S::Zero());
+  std::vector<S> nonces(m);
+  std::vector<typename G::Element> aggregated(m, G::Identity());
+  bundle.upload.bin_proofs.resize(m);
   S total_randomness = S::Zero();
   for (size_t bin = 0; bin < m; ++bin) {
-    int bit = (m == 1) ? static_cast<int>(choice) : (choice == bin ? 1 : 0);
-    S value = S::FromU64(static_cast<uint64_t>(bit));
+    bits[bin] = (m == 1) ? static_cast<int>(choice) : (choice == bin ? 1 : 0);
+    S value = S::FromU64(static_cast<uint64_t>(bits[bin]));
     auto value_shares = ShareAdditive(value, k, rng);
 
-    S bin_randomness = S::Zero();
     for (size_t p = 0; p < k; ++p) {
       S r = S::Random(rng);
       bundle.shares[p].values[bin] = value_shares[p];
       bundle.shares[p].randomness[bin] = r;
       bundle.upload.commitments[p][bin] = ped.Commit(value_shares[p], r);
-      bin_randomness += r;
+      bin_randomness[bin] += r;
+      // Aggregated commitment c_{i,bin} = prod_k c_{i,k,bin} = Com(bit, sum r).
+      aggregated[bin] = G::Mul(aggregated[bin], bundle.upload.commitments[p][bin]);
     }
-    total_randomness += bin_randomness;
-
-    // Aggregated commitment c_{i,bin} = prod_k c_{i,k,bin} = Com(bit, sum r).
-    auto aggregated = G::Identity();
-    for (size_t p = 0; p < k; ++p) {
-      aggregated = G::Mul(aggregated, bundle.upload.commitments[p][bin]);
-    }
-    bundle.upload.bin_proofs.push_back(OrProve(
-        ped, aggregated, bit, bin_randomness, rng,
-        ClientProofContext(config.session_id, client_index, bin)));
+    total_randomness += bin_randomness[bin];
+    nonces[bin] =
+        BeginOrProve(ped, bits[bin], bin_randomness[bin], rng, &bundle.upload.bin_proofs[bin]);
+  }
+  const std::vector<Bytes> enc = EncodeOrMessages(aggregated, bundle.upload.bin_proofs);
+  for (size_t bin = 0; bin < m; ++bin) {
+    const S e = OrChallenge(ped, enc[3 * bin], enc[3 * bin + 1], enc[3 * bin + 2],
+                            ClientProofContext(config.session_id, client_index, bin));
+    FinishOrProve(bits[bin], bin_randomness[bin], nonces[bin], e, &bundle.upload.bin_proofs[bin]);
   }
   bundle.upload.sum_randomness = total_randomness;
   return bundle;

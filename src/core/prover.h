@@ -60,11 +60,15 @@ class Prover {
       std::vector<int> bits(nb);
       std::vector<Scalar> rs(nb);
       std::vector<Element> cs(nb);
+      // The draws stay sequential (the coins are a function of the seed);
+      // only the commitments fan out.
       for (size_t j = 0; j < nb; ++j) {
         bits[j] = rng_.NextBit() ? 1 : 0;
         rs[j] = Scalar::Random(rng_);
-        cs[j] = ped_.Commit(Scalar::FromU64(static_cast<uint64_t>(bits[j])), rs[j]);
       }
+      ForEachIndex(pool, nb, [&](size_t j) {
+        cs[j] = ped_.Commit(Scalar::FromU64(static_cast<uint64_t>(bits[j])), rs[j]);
+      });
       msg.coin_proofs[bin] =
           OrProveBatch(ped_, cs, bits, rs, rng_, CoinProofContext(bin), pool);
       msg.coin_commitments[bin] = std::move(cs);

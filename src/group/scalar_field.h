@@ -47,14 +47,26 @@ class ScalarField {
     return s;
   }
 
-  // Interprets up to 2L limbs of big-endian bytes as an integer and reduces
-  // mod q. Used to map hash outputs (Fiat-Shamir challenges) into the field.
+  // Interprets big-endian bytes of any length as an integer and reduces it
+  // mod q. Used to map hash outputs (Fiat-Shamir challenges, batch
+  // combiners) into the field. Horner's rule over L-limb chunks, kept in
+  // Montgomery form: acc <- acc * R + chunk is MulMont(acc, R^2) +
+  // MulMont(chunk, R^2), valid for any chunk < R since q < R is odd; one
+  // MulMont by 1 leaves Montgomery form. Two products per chunk, no division.
   static ScalarField FromBytesWide(BytesView bytes) {
-    auto wide = BigInt<2 * L>::FromBytesBe(bytes);
-    ScalarField s;
-    if (wide.has_value()) {
-      s.v_ = Mod(*wide, Order());
+    const MontgomeryCtx<L>& ctx = Ctx();
+    Int acc;  // Montgomery form of the prefix folded so far
+    size_t head = bytes.size() % Int::kBytes;
+    if (head == 0 && !bytes.empty()) {
+      head = Int::kBytes;
     }
+    for (size_t pos = 0; pos < bytes.size(); pos += head, head = Int::kBytes) {
+      Int chunk = *Int::FromBytesBe(bytes.subspan(pos, head));
+      Int chunk_mont = ctx.MulMont(chunk, ctx.r2());
+      acc = pos == 0 ? chunk_mont : AddMod(ctx.MulMont(acc, ctx.r2()), chunk_mont, Order());
+    }
+    ScalarField s;
+    s.v_ = ctx.FromMont(acc);
     return s;
   }
 

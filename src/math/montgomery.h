@@ -41,6 +41,7 @@ class MontgomeryCtx {
 
   const BigInt<L>& modulus() const { return m_; }
   const BigInt<L>& r() const { return r_; }
+  const BigInt<L>& r2() const { return r2_; }
 
   BigInt<L> ToMont(const BigInt<L>& a) const { return MulMont(a, r2_); }
   BigInt<L> FromMont(const BigInt<L>& a) const { return MulMont(a, BigInt<L>::One()); }

@@ -147,13 +147,7 @@ ShardResult<G> VerifyShard(const ProtocolConfig& config, const Pedersen<G>& ped,
       ok[i] = 1;
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(count, structure);
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      structure(i);
-    }
-  }
+  ForEachIndex(pool, count, structure);
   structure_span.End();
 
   // One RLC check over every bin proof of every structurally valid upload in
@@ -192,13 +186,7 @@ ShardResult<G> VerifyShard(const ProtocolConfig& config, const Pedersen<G>& ped,
         }
       }
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(count, recheck);
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        recheck(i);
-      }
-    }
+    ForEachIndex(pool, count, recheck);
   }
 
   const double shard_us = shard_timer.ElapsedMicros();

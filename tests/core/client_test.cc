@@ -101,6 +101,25 @@ TEST(ClientTest, ValidationFailsForWrongSession) {
   EXPECT_FALSE(ValidateClientUpload(bundle.upload, 0, other, ped));
 }
 
+// A client commits to 5 and "proves" it is a bit by simulating both OR
+// branches with e0 + e1 = 0. That is accepted exactly when the Fiat-Shamir
+// challenge is zero, so it pins that ModP64 -- whose 64-bit scalars are
+// narrower than the 32-byte challenge digest -- still reduces the digest.
+TEST(ClientTest, ModP64ZeroChallengeForgeryRejected) {
+  using G64 = ModP64;
+  Pedersen<G64> ped;
+  SecureRng rng("modp64-forge");
+  auto config = TestConfig(1, 1);
+  auto bundle = MakeClientBundle<G64>(1, 0, config, ped, rng);
+  auto r = G64::Scalar::Random(rng);
+  auto c = ped.Commit(G64::Scalar::FromU64(5), r);
+  bundle.upload.commitments[0][0] = c;
+  bundle.upload.bin_proofs[0] = OrSimulate(ped, c, G64::Scalar::Zero(), rng);
+  std::string reason;
+  EXPECT_FALSE(ValidateClientUpload(bundle.upload, 0, config, ped, &reason));
+  EXPECT_EQ(reason, kDetailProofInvalid);
+}
+
 TEST(ClientTest, MalformedShapesRejected) {
   Pedersen<G> ped;
   SecureRng rng("malformed");

@@ -148,14 +148,6 @@ TYPED_TEST(GroupLawTest, ScalarCodecRoundTrip) {
   EXPECT_FALSE(S::Decode(S::Order().ToBytesBe()).has_value());
 }
 
-TYPED_TEST(GroupLawTest, ScalarFromBytesWideReduces) {
-  using G = TypeParam;
-  using S = typename G::Scalar;
-  Bytes wide(64, 0xff);
-  auto s = S::FromBytesWide(wide);
-  EXPECT_LT(s.value(), S::Order());
-}
-
 TYPED_TEST(GroupLawTest, ScalarToU64SmallValues) {
   using G = TypeParam;
   using S = typename G::Scalar;
@@ -163,6 +155,31 @@ TYPED_TEST(GroupLawTest, ScalarToU64SmallValues) {
   SecureRng rng("u64-" + G::Name());
   // A random scalar is overwhelmingly unlikely to fit in 64 bits.
   EXPECT_FALSE(S::Random(rng).ToU64().has_value());
+}
+
+template <typename G>
+class ScalarWideTest : public ::testing::Test {};
+
+using AllGroupTypes = ::testing::Types<ModP64, ModP256, ModP512, ModP1024, ModP2048, Schnorr512,
+                                       Schnorr2048, Ed25519Group>;
+TYPED_TEST_SUITE(ScalarWideTest, AllGroupTypes);
+
+// FromBytesWide is the exact reduction of the big-endian integer mod q, for
+// every input length -- including inputs wider than two scalars (a 32-byte
+// challenge digest on a 64-bit group) and the all-ones worst case.
+TYPED_TEST(ScalarWideTest, ScalarFromBytesWideReduces) {
+  using G = TypeParam;
+  using S = typename G::Scalar;
+  constexpr size_t kLimbs = S::Int::kLimbs;
+  constexpr size_t kMaxBytes = 2 * kLimbs * 8 + 32;
+  SecureRng rng("wide-" + G::Name());
+  for (size_t len = 0; len <= kMaxBytes; ++len) {
+    for (const Bytes& wide : {rng.RandomBytes(len), Bytes(len, 0xff)}) {
+      auto as_int = BigInt<2 * kLimbs + 4>::FromBytesBe(wide);
+      ASSERT_TRUE(as_int.has_value());
+      EXPECT_EQ(S::FromBytesWide(wide).value(), Mod(*as_int, S::Order())) << "len=" << len;
+    }
+  }
 }
 
 }  // namespace

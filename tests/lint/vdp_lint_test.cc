@@ -21,14 +21,6 @@ LintConfig CanonConfig() {
   return config;
 }
 
-std::vector<std::string> Rules(const std::vector<LintFinding>& findings) {
-  std::vector<std::string> rules;
-  for (const LintFinding& f : findings) {
-    rules.push_back(f.rule);
-  }
-  return rules;
-}
-
 TEST(VdpLintTest, FlagsBannedRngOutsideTests) {
   const std::string src = "std::mt19937 gen(std::random_device{}());\n"
                           "int x = rand();\n";

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace vdp {
 namespace {
 
@@ -229,6 +232,104 @@ TYPED_TEST(OrProofTest, BatchSizeMismatchRejected) {
   std::vector<typename G::Element> cs(3, G::Identity());
   std::vector<OrProof<G>> proofs(2);
   EXPECT_FALSE(OrVerifyBatch(ped, cs, proofs, "mismatch"));
+}
+
+// The reference prover: the variable-base formulation, kept here verbatim
+// as the oracle for byte-identity. It simulates the branch it cannot open
+// from the statement alone, as OrSimulate does, and hashes the transcript
+// schedule spelled out by hand.
+template <PrimeOrderGroup G>
+OrProof<G> ReferenceOrProve(const Pedersen<G>& ped, const typename G::Element& c, int bit,
+                            const typename G::Scalar& r, SecureRng& rng,
+                            const std::string& context) {
+  using S = typename G::Scalar;
+  OrProof<G> proof;
+  S k = S::Random(rng);
+  S e_sim = S::Random(rng);
+  S z_sim = S::Random(rng);
+  if (bit == 0) {
+    proof.a0 = ped.ExpH(k);
+    proof.a1 = G::Mul(ped.ExpH(z_sim), G::Exp(Div<G>(c, ped.params().g), -e_sim));
+    proof.e1 = e_sim;
+    proof.z1 = z_sim;
+  } else {
+    proof.a1 = ped.ExpH(k);
+    proof.a0 = G::Mul(ped.ExpH(z_sim), G::Exp(c, -e_sim));
+    proof.e0 = e_sim;
+    proof.z0 = z_sim;
+  }
+  Transcript t("vdp/or-proof");
+  t.Append("context", ToBytes(context));
+  t.Append("g", G::Encode(ped.params().g));
+  t.Append("h", G::Encode(ped.params().h));
+  t.Append("c", G::Encode(c));
+  t.Append("a0", G::Encode(proof.a0));
+  t.Append("a1", G::Encode(proof.a1));
+  S e = t.template ChallengeScalar<S>("e");
+  if (bit == 0) {
+    proof.e0 = e - proof.e1;
+    proof.z0 = k + proof.e0 * r;
+  } else {
+    proof.e1 = e - proof.e0;
+    proof.z1 = k + proof.e1 * r;
+  }
+  return proof;
+}
+
+template <typename G>
+class OrProveIdentityTest : public ::testing::Test {};
+
+using AllGroupTypes = ::testing::Types<ModP64, ModP256, ModP512, ModP1024, ModP2048, Schnorr512,
+                                       Schnorr2048, Ed25519Group>;
+TYPED_TEST_SUITE(OrProveIdentityTest, AllGroupTypes);
+
+TYPED_TEST(OrProveIdentityTest, MatchesVariableBaseReference) {
+  using G = TypeParam;
+  using S = typename G::Scalar;
+  Pedersen<G> ped;
+  SecureRng setup("or-ref-" + G::Name());
+  for (int bit : {0, 1, 0, 1}) {
+    S r = S::Random(setup);
+    auto c = ped.Commit(S::FromU64(static_cast<uint64_t>(bit)), r);
+    const std::string label = "or-ref-proof-" + r.value().ToHex();
+    SecureRng rng(label);
+    SecureRng ref_rng(label);
+    auto proof = OrProve(ped, c, bit, r, rng, "ctx");
+    auto reference = ReferenceOrProve(ped, c, bit, r, ref_rng, "ctx");
+    EXPECT_EQ(proof.Serialize(), reference.Serialize()) << "bit=" << bit;
+    EXPECT_TRUE(OrVerify(ped, c, proof, "ctx")) << "bit=" << bit;
+  }
+}
+
+TYPED_TEST(OrProveIdentityTest, BatchMatchesPerProofReference) {
+  using G = TypeParam;
+  using S = typename G::Scalar;
+  Pedersen<G> ped;
+  SecureRng setup("or-ref-batch-" + G::Name());
+  constexpr size_t kCount = 6;
+  std::vector<typename G::Element> cs;
+  std::vector<int> bits;
+  std::vector<S> rs;
+  for (size_t i = 0; i < kCount; ++i) {
+    bits.push_back(static_cast<int>((i / 2) % 2));
+    rs.push_back(S::Random(setup));
+    cs.push_back(ped.Commit(S::FromU64(static_cast<uint64_t>(bits.back())), rs.back()));
+  }
+  SecureRng rng("or-ref-batch");
+  SecureRng pooled_rng("or-ref-batch");
+  SecureRng ref_rng("or-ref-batch");
+  ThreadPool pool(2);
+  auto proofs = OrProveBatch(ped, cs, bits, rs, rng, "batch");
+  auto pooled = OrProveBatch(ped, cs, bits, rs, pooled_rng, "batch", &pool);
+  ASSERT_EQ(proofs.size(), kCount);
+  ASSERT_EQ(pooled.size(), kCount);
+  for (size_t i = 0; i < kCount; ++i) {
+    SecureRng child = ref_rng.Fork("or-batch/" + std::to_string(i));
+    auto reference =
+        ReferenceOrProve(ped, cs[i], bits[i], rs[i], child, "batch/" + std::to_string(i));
+    EXPECT_EQ(proofs[i].Serialize(), reference.Serialize()) << "i=" << i;
+    EXPECT_EQ(pooled[i].Serialize(), reference.Serialize()) << "i=" << i;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 //                       DeriveSessionKey -- must show NO leak: their timing
 //                       may not separate a correct secret from an
 //                       adversarial one (first-byte difference, the
-//                       early-exit worst case).
+//                       early-exit worst case). OrProve must not separate
+//                       a bit-0 opening from a bit-1 opening: a client's
+//                       proving time may not reveal its private input.
 //   positive controls -- a raw memcmp over 4 KiB and a branchy
 //                       square-and-multiply -- must LEAK; if the machine is
 //                       too noisy to flag a deliberate early-exit, a clean
@@ -34,6 +36,7 @@
 #include "src/common/rng.h"
 #include "src/group/modp_group.h"
 #include "src/net/auth.h"
+#include "src/sigma/or_proof.h"
 
 namespace vdp {
 namespace {
@@ -116,6 +119,34 @@ std::vector<CheckSpec> BuildChecks() {
                             adversarial ? *sparse_secret : *fixed_secret;
                         Consume(net::DeriveSessionKey(secret, *server_nonce,
                                                       *client_nonce));
+                      }});
+  }
+
+  // -- required: the client's OR prover must not time its secret bit. Both
+  // classes prove a fresh commitment (from a pre-built ring, so commitment
+  // cost stays outside the op) with fresh proof randomness; only the bit
+  // differs.
+  {
+    using G = ModP256;
+    struct Opening {
+      G::Element c;
+      G::Scalar r;
+    };
+    constexpr size_t kRing = 256;
+    auto ped = std::make_shared<Pedersen<G>>();
+    auto openings = std::make_shared<std::vector<Opening>>();
+    for (size_t i = 0; i < 2 * kRing; ++i) {
+      const G::Scalar r = G::Scalar::Random(rng);
+      openings->push_back({ped->Commit(G::Scalar::FromU64(i % 2), r), r});
+    }
+    auto proof_rng = std::make_shared<SecureRng>("ct-audit-or-prove");
+    auto next = std::make_shared<size_t>(0);
+    checks.push_back({"OrProve/secret-bit", CheckKind::kRequiredConstantTime,
+                      [=](bool adversarial) {
+                        const int bit = adversarial ? 1 : 0;
+                        const Opening& o =
+                            (*openings)[2 * ((*next)++ % kRing) + static_cast<size_t>(bit)];
+                        Consume(OrProve(*ped, o.c, bit, o.r, *proof_rng, "ct-audit"));
                       }});
   }
 
