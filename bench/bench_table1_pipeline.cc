@@ -83,7 +83,7 @@ Row RunPipeline(size_t num_clients, size_t nb, vdp::ThreadPool& pool) {
   vdp::MorraParty<G> prover_party(rng.Fork("morra-p"));
   vdp::MorraParty<G> verifier_party(rng.Fork("morra-v"));
   std::vector<vdp::MorraParty<G>*> parties = {&prover_party, &verifier_party};
-  auto outcome = vdp::RunMorra(parties, nb, ped);
+  auto outcome = vdp::RunMorra(parties, nb, ped, &pool);
   row.morra_ms = timer.ElapsedMillis();
   if (outcome.aborted) {
     std::fprintf(stderr, "FATAL: morra aborted\n");

@@ -68,14 +68,13 @@ std::optional<SecureRng> CheckOrSplits(const Pedersen<G>& ped,
     }
   }
 
-  Transcript fork("vdp/batch-or");
-  fork.AppendU64("count", n);
+  CombinerBinder binder("vdp/batch-or", n);
   for (size_t i = 0; i < n; ++i) {
-    fork.Append("context", ToBytes(instances[i].context));
-    fork.Append("c", enc[3 * i]);
-    fork.Append("proof", instances[i].proof.Serialize(enc[3 * i + 1], enc[3 * i + 2]));
+    binder.Add(ToBytes(instances[i].context));
+    binder.Add(enc[3 * i]);
+    binder.Add(instances[i].proof.Serialize(enc[3 * i + 1], enc[3 * i + 2]));
   }
-  return ForkCombinerRng(fork);
+  return binder.Fork();
 }
 
 }  // namespace internal

@@ -57,14 +57,13 @@ bool BatchSchnorrVerify(const std::vector<SchnorrInstance<G>>& instances,
     stmt[2 * i + 1] = instances[i].y;
   }
   std::vector<Bytes> enc_stmt = EncodeAll<G>(stmt);
-  Transcript fork("vdp/batch-schnorr");
-  fork.AppendU64("count", n);
+  CombinerBinder binder("vdp/batch-schnorr", n);
   for (size_t i = 0; i < n; ++i) {
-    fork.Append("base", enc_stmt[2 * i]);
-    fork.Append("y", enc_stmt[2 * i + 1]);
-    fork.Append("proof", instances[i].proof.Serialize());
+    binder.Add(enc_stmt[2 * i]);
+    binder.Add(enc_stmt[2 * i + 1]);
+    binder.Add(instances[i].proof.Serialize());
   }
-  SecureRng rng = ForkCombinerRng(fork);
+  SecureRng rng = binder.Fork();
 
   std::vector<typename G::Element> lhs_bases;
   std::vector<S> lhs_scalars;

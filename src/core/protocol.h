@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/batch/batch_openings.h"
 #include "src/common/timer.h"
 #include "src/core/prover.h"
 #include "src/core/verifier.h"
@@ -57,10 +58,12 @@ struct PublicTranscript {
 };
 
 // Runs Morra between one prover and the public verifier to produce
-// bins * nb public bits. Returns empty bits on abort.
+// bins * nb public bits. Returns empty bits on abort. The bits do not depend
+// on `pool`.
 template <PrimeOrderGroup G>
 std::vector<std::vector<bool>> RunProverMorra(Prover<G>& prover, const Pedersen<G>& ped,
-                                              const ProtocolConfig& config, SecureRng& vrf_rng) {
+                                              const ProtocolConfig& config, SecureRng& vrf_rng,
+                                              ThreadPool* pool = nullptr) {
   const size_t bins = config.num_bins;
   const size_t nb = config.NumCoins();
   const size_t total = bins * nb;
@@ -70,7 +73,7 @@ std::vector<std::vector<bool>> RunProverMorra(Prover<G>& prover, const Pedersen<
     auto prover_party = prover.MakeMorraParty();
     MorraParty<G> verifier_party(vrf_rng.Fork("morra-verifier"));
     std::vector<MorraParty<G>*> parties = {prover_party.get(), &verifier_party};
-    auto outcome = RunMorra(parties, total, ped);
+    auto outcome = RunMorra(parties, total, ped, pool);
     if (outcome.aborted) {
       return {};
     }
@@ -92,6 +95,65 @@ std::vector<std::vector<bool>> RunProverMorra(Prover<G>& prover, const Pedersen<
                      flat.begin() + static_cast<long>((bin + 1) * nb));
   }
   return bits;
+}
+
+// Prover-side share consistency: the clients in `accepted` whose private
+// share to every prover opens their public commitments. A client that fails
+// is excluded (publicly attributable, since the prover can exhibit the
+// mismatching share). Each prover checks all its shares with one batched
+// opening check (src/batch/batch_openings.h); only when a batch fails, or a
+// share has the wrong shape, does the per-client ClientShareConsistent loop
+// run, to find whom to exclude. Both paths give the same set.
+template <PrimeOrderGroup G>
+std::vector<size_t> ConsistentClients(const Pedersen<G>& ped,
+                                      const std::vector<ClientBundle<G>>& clients,
+                                      const std::vector<ClientUploadMsg<G>>& uploads,
+                                      const std::vector<size_t>& accepted,
+                                      const std::vector<Prover<G>*>& provers, ThreadPool* pool) {
+  bool all_ok = true;
+  for (const Prover<G>* prover : provers) {
+    const size_t k = prover->index();
+    // The batch indexes openings as (client, bin) pairs, so it needs every
+    // share to have the shape of the first.
+    const size_t bins = accepted.empty() ? 0 : uploads[accepted[0]].commitments[k].size();
+    for (size_t idx : accepted) {
+      const ClientShareMsg<G>& share = clients[idx].shares[k];
+      all_ok = all_ok && uploads[idx].commitments[k].size() == bins &&
+               share.values.size() == bins && share.randomness.size() == bins;
+    }
+    all_ok = all_ok && BatchOpeningsValid(
+                           ped, "vdp/client-shares", accepted.size() * bins,
+                           [&](size_t i) {
+                             const size_t idx = accepted[i / bins];
+                             const ClientShareMsg<G>& share = clients[idx].shares[k];
+                             return OpeningRef<G>{uploads[idx].commitments[k][i % bins],
+                                                  share.values[i % bins],
+                                                  share.randomness[i % bins]};
+                           },
+                           pool);
+    if (!all_ok) {
+      break;
+    }
+  }
+  if (all_ok) {
+    return accepted;
+  }
+
+  std::vector<size_t> consistent;
+  for (size_t idx : accepted) {
+    bool ok = true;
+    for (const Prover<G>* prover : provers) {
+      const auto& share = clients[idx].shares[prover->index()];
+      if (!ClientShareConsistent(share, uploads[idx].commitments[prover->index()], ped)) {
+        ok = false;
+        break;
+      }
+    }
+    if (ok) {
+      consistent.push_back(idx);
+    }
+  }
+  return consistent;
 }
 
 template <PrimeOrderGroup G>
@@ -130,23 +192,8 @@ ProtocolResult RunProtocol(const ProtocolConfig& config, const Pedersen<G>& ped,
   VerifyReport<G> report = verifier.ValidateClientsReport(uploads, pool);
   const std::vector<size_t>& accepted = report.accepted;
 
-  // Prover-side share consistency: a client whose private share does not
-  // match its public commitment is excluded (publicly attributable, since
-  // the prover can exhibit the mismatching share).
-  std::vector<size_t> consistent;
-  for (size_t idx : accepted) {
-    bool ok = true;
-    for (const auto* prover : provers) {
-      const auto& share = clients[idx].shares[prover->index()];
-      if (!ClientShareConsistent(share, uploads[idx].commitments[prover->index()], ped)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      consistent.push_back(idx);
-    }
-  }
+  const std::vector<size_t> consistent =
+      ConsistentClients(ped, clients, uploads, accepted, provers, pool);
   result.accepted_clients = consistent;
   result.timings.client_validate_ms = timer.ElapsedMillis();
 
@@ -186,7 +233,7 @@ ProtocolResult RunProtocol(const ProtocolConfig& config, const Pedersen<G>& ped,
 
     // Lines 7-8.
     timer.Reset();
-    auto bits = RunProverMorra(*prover, ped, config, verifier_rng);
+    auto bits = RunProverMorra(*prover, ped, config, verifier_rng, pool);
     result.timings.morra_ms += timer.ElapsedMillis();
     if (bits.empty()) {
       result.verdict = Verdict::Reject(VerdictCode::kMorraAborted, prover->index(),

@@ -31,7 +31,8 @@ struct SimulatedCuratorTranscript {
   typename G::Scalar z;                               // Line 11 message
 };
 
-// Line 12 update (shared with the verifier): ĉ' = b ? Com(1,0) * c'^{-1} : c'.
+// Line 12 update, the map PublicVerifier folds into Eq. 10:
+// ĉ' = b ? Com(1,0) * c'^{-1} : c'.
 // The map is an involution, which the simulator exploits to pick post-update
 // commitments first and derive what it must "send" at Line 4.
 template <PrimeOrderGroup G>

@@ -95,16 +95,6 @@ class PublicVerifier {
     return true;
   }
 
-  // Line 12: fold the public bit into the coin commitment. When b = 1 the
-  // committed value flips to 1 - v without the verifier ever seeing v:
-  // Com(1,0) * Com(v,s)^{-1} = Com(1-v, -s).
-  Element UpdateCoinCommitment(const Element& commitment, bool bit) const {
-    if (!bit) {
-      return commitment;
-    }
-    return G::Mul(ped_.Commit(Scalar::One(), Scalar::Zero()), G::Inverse(commitment));
-  }
-
   // Line 13 (Eq. 10) for prover k: the product of accepted client-share
   // commitments and updated coin commitments must open to (y_k, z_k).
   bool CheckFinal(size_t prover_index, const std::vector<ClientUploadMsg<G>>& uploads,
@@ -150,16 +140,28 @@ class PublicVerifier {
 
  private:
   // One bin of Eq. 10: client_product times the updated coin commitments
-  // must open to (y_bin, z_bin).
+  // must open to (y_bin, z_bin). Line 12 folds the public bit into each coin
+  // commitment: when b = 1 the committed value flips to 1 - v without the
+  // verifier ever seeing v, Com(1,0) * Com(v,s)^{-1} = Com(1-v, -s). Over f
+  // flipped coins that is Com(f,0) * (prod of the flipped)^{-1}, so a bin
+  // costs one comb and one inversion however many coins flip.
   bool CheckFinalBin(size_t bin, const Element& client_product, const ProverCoinsMsg<G>& coins,
                      const std::vector<std::vector<bool>>& public_bits,
                      const ProverOutputMsg<G>& output) const {
     const size_t nb = config_.NumCoins();
     Element lhs = client_product;
+    Element flipped = G::Identity();
+    uint64_t num_flipped = 0;
     for (size_t j = 0; j < nb; ++j) {
-      lhs = G::Mul(lhs, UpdateCoinCommitment(coins.coin_commitments[bin][j],
-                                             public_bits[bin][j]));
+      if (public_bits[bin][j]) {
+        flipped = G::Mul(flipped, coins.coin_commitments[bin][j]);
+        ++num_flipped;
+      } else {
+        lhs = G::Mul(lhs, coins.coin_commitments[bin][j]);
+      }
     }
+    lhs = G::Mul(lhs, G::Mul(ped_.Commit(Scalar::FromU64(num_flipped), Scalar::Zero()),
+                             G::Inverse(flipped)));
     return lhs == ped_.Commit(output.y[bin], output.z[bin]);
   }
 

@@ -48,22 +48,13 @@ template <PrimeOrderGroup G>
 class ZeroContributionMorraParty : public MorraParty<G> {
  public:
   using Base = MorraParty<G>;
-  using typename Base::Element;
   using typename Base::Opening;
   using Scalar = typename Base::Scalar;
 
   explicit ZeroContributionMorraParty(SecureRng rng) : Base(std::move(rng)) {}
 
-  std::vector<Element> CommitPhase(size_t num_coins, const Pedersen<G>& ped) override {
-    this->openings_.clear();
-    std::vector<Element> commitments;
-    for (size_t j = 0; j < num_coins; ++j) {
-      Opening o{Scalar::Zero(), Scalar::Random(this->rng_)};
-      commitments.push_back(ped.Commit(o.m, o.r));
-      this->openings_.push_back(o);
-    }
-    return commitments;
-  }
+ protected:
+  Opening DrawOpening() override { return Opening{Scalar::Zero(), Scalar::Random(this->rng_)}; }
 };
 
 // The commitment-free strawman: parties announce contributions in order, in

@@ -9,6 +9,7 @@ namespace vdp {
 namespace {
 
 using G = ModP256;
+using S = G::Scalar;
 
 ProtocolConfig MpcConfig(size_t k, size_t m = 1) {
   ProtocolConfig config;
@@ -123,6 +124,58 @@ TEST(MpcTest, InconsistentShareClientExcluded) {
   EXPECT_EQ(result.accepted_clients, std::vector<size_t>{0});
 }
 
+TEST(MpcTest, BatchedShareCheckMatchesPerClientOracle) {
+  // Several clients send shares that do not open their public commitments,
+  // each to a different prover (one with a missing bin, two whose errors
+  // cancel in an unweighted sum). The batched share check must exclude
+  // exactly the clients the per-client oracle excludes, with or without a
+  // pool.
+  SecureRng rng("mpc-share-batch");
+  auto config = MpcConfig(3, /*m=*/3);
+  Pedersen<G> ped;
+  SecureRng crng = rng.Fork("clients");
+  std::vector<ClientBundle<G>> clients;
+  for (size_t i = 0; i < 12; ++i) {
+    clients.push_back(MakeClientBundle<G>(static_cast<uint32_t>(i % 3), i, config, ped, crng));
+  }
+  const S d = S::Random(crng);
+  clients[1].shares[0].values[1] += S::One();       // bad value to prover 0
+  clients[4].shares[2].randomness[0] += S::One();   // bad randomness to prover 2
+  clients[6].shares[1].values.pop_back();           // missing bin to prover 1
+  clients[8].shares[1].values[0] += d;              // cancelling pair across
+  clients[9].shares[1].values[0] -= d;              //   two clients, prover 1
+  clients[10].shares[0].randomness[2] += S::One();  // bad to provers 0 and 2
+  clients[10].shares[2].values[2] += S::One();
+
+  std::vector<size_t> oracle;
+  for (size_t idx = 0; idx < clients.size(); ++idx) {
+    bool ok = true;
+    for (size_t k = 0; k < config.num_provers; ++k) {
+      ok = ok && ClientShareConsistent(clients[idx].shares[k],
+                                       clients[idx].upload.commitments[k], ped);
+    }
+    if (ok) {
+      oracle.push_back(idx);
+    }
+  }
+  ASSERT_EQ(oracle, (std::vector<size_t>{0, 2, 3, 5, 7, 11}));
+
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::unique_ptr<Prover<G>>> owned;
+    std::vector<Prover<G>*> provers;
+    for (size_t k = 0; k < config.num_provers; ++k) {
+      owned.push_back(
+          std::make_unique<Prover<G>>(k, config, ped, rng.Fork("p" + std::to_string(k))));
+      provers.push_back(owned.back().get());
+    }
+    SecureRng vrng = rng.Fork("verifier");
+    auto result = RunProtocol(config, ped, clients, provers, vrng, p);
+    ASSERT_TRUE(result.accepted()) << result.verdict.detail;
+    EXPECT_EQ(result.accepted_clients, oracle) << "pool=" << (p != nullptr);
+  }
+}
+
 TEST(MpcTest, DoubleVoteClientExcludedByOneHotCheck) {
   SecureRng rng("mpc-doublevote");
   auto config = MpcConfig(2, /*m=*/3);
@@ -159,7 +212,6 @@ TEST(MpcTest, SharesAloneRevealNothingAboutInputs) {
   SecureRng crng = rng.Fork("clients");
   auto voter_yes = MakeClientBundle<G>(1, 0, config, ped, crng);
   auto voter_no = MakeClientBundle<G>(0, 1, config, ped, crng);
-  using S = G::Scalar;
   EXPECT_NE(voter_yes.shares[0].values[0], S::One());
   EXPECT_NE(voter_no.shares[0].values[0], S::Zero());
   // And the two shares reconstruct different values.
