@@ -133,8 +133,8 @@ struct ShardPoint {
   size_t num_shards;
   double monolithic_ms;        // one RLC batch over everything, pool-assisted
   double sharded_ms;           // K shards fanned across the pool
-  double tamper_monolithic_ms; // 1 corrupted upload: full per-proof re-scan
-  double tamper_sharded_ms;    // 1 corrupted upload: only its shard re-scans
+  double tamper_monolithic_ms; // 1 corrupted upload: blame searched in the whole stream
+  double tamper_sharded_ms;    // 1 corrupted upload: only its shard searches
 
   double Speedup() const { return monolithic_ms / sharded_ms; }
   double TamperSpeedup() const { return tamper_monolithic_ms / tamper_sharded_ms; }

@@ -4,7 +4,7 @@
 // HMAC add: the same 4096-upload stream is validated by the in-process
 // sharded backend and by a spawned loopback verify_server fleet over
 // authenticated TCP sockets (src/net/). Two regimes -- a clean stream and
-// one with a single tampered proof (per-proof fallback confined to one
+// one with a single tampered proof (the blame search confined to one
 // shard) -- and every configuration's accept set is cross-checked against
 // the in-process result, so a speedup can never come from a wrong verdict.
 //

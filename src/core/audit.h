@@ -20,18 +20,21 @@ template <PrimeOrderGroup G>
 Bytes SerializeTranscript(const PublicTranscript<G>& t) {
   Writer w;
   w.U32(static_cast<uint32_t>(t.client_uploads.size()));
-  for (const auto& upload : t.client_uploads) {
-    w.Blob(upload.Serialize());
-  }
+  SerializeUploads(t.client_uploads.data(), t.client_uploads.size(),
+                   [&](const Bytes& bytes) { w.Blob(bytes); });
   w.U32(static_cast<uint32_t>(t.prover_coins.size()));
   for (size_t k = 0; k < t.prover_coins.size(); ++k) {
     const auto& coins = t.prover_coins[k];
     w.U32(static_cast<uint32_t>(coins.coin_commitments.size()));
     for (size_t bin = 0; bin < coins.coin_commitments.size(); ++bin) {
-      w.U32(static_cast<uint32_t>(coins.coin_commitments[bin].size()));
-      for (size_t j = 0; j < coins.coin_commitments[bin].size(); ++j) {
-        w.Blob(G::Encode(coins.coin_commitments[bin][j]));
-        w.Blob(coins.coin_proofs[bin][j].Serialize());
+      const auto& cs = coins.coin_commitments[bin];
+      const auto& proofs = coins.coin_proofs[bin];
+      // One encoding batch per bin: (c, a0, a1) of each of its nb coins.
+      const std::vector<Bytes> enc = EncodeOrMessages(cs, proofs);
+      w.U32(static_cast<uint32_t>(cs.size()));
+      for (size_t j = 0; j < cs.size(); ++j) {
+        w.Blob(enc[3 * j]);
+        w.Blob(proofs[j].Serialize(enc[3 * j + 1], enc[3 * j + 2]));
         w.U8(t.public_bits[k][bin][j] ? 1 : 0);
       }
     }

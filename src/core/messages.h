@@ -6,6 +6,7 @@
 #ifndef SRC_CORE_MESSAGES_H_
 #define SRC_CORE_MESSAGES_H_
 
+#include <span>
 #include <vector>
 
 #include "src/common/serialize.h"
@@ -71,18 +72,40 @@ struct ClientUploadMsg {
   // bins sum to exactly one (one-hot input).
   typename G::Scalar sum_randomness;
 
+  // The upload's group elements in serialization order: the commitments row
+  // by row, then a0 and a1 of each bin proof.
+  void AppendElements(std::vector<typename G::Element>* out) const {
+    for (const auto& row : commitments) {
+      out->insert(out->end(), row.begin(), row.end());
+    }
+    for (const auto& p : bin_proofs) {
+      out->push_back(p.a0);
+      out->push_back(p.a1);
+    }
+  }
+
   Bytes Serialize() const {
+    std::vector<typename G::Element> elements;
+    AppendElements(&elements);
+    return Serialize(EncodeAll<G>(elements));
+  }
+
+  // The same bytes, given the encodings of AppendElements' elements in order
+  // (for callers that encode many uploads in one batch).
+  Bytes Serialize(std::span<const Bytes> encoded) const {
     Writer w;
     w.U32(static_cast<uint32_t>(commitments.size()));
     w.U32(commitments.empty() ? 0 : static_cast<uint32_t>(commitments[0].size()));
+    size_t next = 0;
     for (const auto& row : commitments) {
-      for (const auto& c : row) {
-        w.Blob(G::Encode(c));
+      for (size_t m = 0; m < row.size(); ++m) {
+        w.Blob(encoded[next++]);
       }
     }
     w.U32(static_cast<uint32_t>(bin_proofs.size()));
     for (const auto& p : bin_proofs) {
-      w.Blob(p.Serialize());
+      w.Blob(p.Serialize(encoded[next], encoded[next + 1]));
+      next += 2;
     }
     w.Blob(sum_randomness.Encode());
     return w.Take();
@@ -142,6 +165,34 @@ struct ClientUploadMsg {
     return msg;
   }
 };
+
+// Serializes uploads[0..count) in order, handing each upload's bytes to
+// sink. Elements are encoded in batches of about kEncodeChunk (one shared
+// field inversion per batch on curve groups), which also bounds the
+// encodings held at once.
+template <PrimeOrderGroup G, typename Sink>
+void SerializeUploads(const ClientUploadMsg<G>* uploads, size_t count, const Sink& sink) {
+  constexpr size_t kEncodeChunk = 1024;
+  std::vector<typename G::Element> elements;
+  std::vector<size_t> starts;  // starts[i - from]: upload i's first element
+  for (size_t from = 0; from < count;) {
+    elements.clear();
+    starts.clear();
+    size_t to = from;
+    while (to < count && (to == from || elements.size() < kEncodeChunk)) {
+      starts.push_back(elements.size());
+      uploads[to++].AppendElements(&elements);
+    }
+    starts.push_back(elements.size());
+    const std::vector<Bytes> encoded = EncodeAll<G>(elements);
+    const std::span<const Bytes> all(encoded);
+    for (size_t i = from; i < to; ++i) {
+      const size_t first = starts[i - from];
+      sink(uploads[i].Serialize(all.subspan(first, starts[i - from + 1] - first)));
+    }
+    from = to;
+  }
+}
 
 // Prover k's first message (Line 4): commitments to nb private bits per bin
 // plus their OR proofs (Lines 5-6 validate these).

@@ -58,11 +58,11 @@ struct ProtocolConfig {
   // (src/verify/sharded_backend.h). Each shard batch-verifies independently
   // (fanned across the ThreadPool) and a deterministic combiner merges the
   // per-shard results; the accepted set is bit-identical to the monolithic
-  // path. On a batch failure only the offending shard pays the per-proof
-  // blame-attribution fallback. 1 (the default) keeps one whole-stream
+  // path. On a batch failure only the offending shard searches for the
+  // invalid proofs to attribute blame. 1 (the default) keeps one whole-stream
   // shard. Note: > 1 selects the sharded backend, which always uses the RLC
   // batch check within each shard, regardless of batch_verify -- decisions
-  // are still identical (the fallback is the per-proof oracle), but to run
+  // are still identical (blame reaches the per-proof oracle's verdicts), but to run
   // the pure per-proof mode leave num_verify_shards at 1 with batch_verify
   // false.
   size_t num_verify_shards = 1;

@@ -16,7 +16,7 @@
 //     private registries.
 //
 // Metric names are dotted paths ("fleet.reconnects", "wire.bytes_out"). The
-// canonical catalog lives in kMetricCatalog below and README "Observability";
+// canonical catalog is the list of constants below and README "Observability";
 // the fleet counters the adversarial tests pin are part of the public
 // schema, so renaming one is a schema version bump.
 #ifndef SRC_OBS_METRICS_H_
@@ -56,6 +56,9 @@ inline constexpr const char* kMsmCalls = "msm.calls";
 inline constexpr const char* kShardQueueDepth = "shard.queue_depth";
 inline constexpr const char* kVerifyUsPerProof = "verify.us_per_proof";
 inline constexpr const char* kVerifyShardMs = "verify.shard_ms";
+// Sub-batch MSMs the blame search runs when a batch check fails
+// (OrBatch::Blame, src/batch/batch_or_proof.h).
+inline constexpr const char* kVerifyBisectBatches = "verify.bisect_batches";
 // Streaming-pipeline state (src/shard/stream_dispatch.h): gauge max() is the
 // stream's high-water mark, which is what bounds resident memory.
 inline constexpr const char* kStreamInflightShards = "stream.inflight_shards";

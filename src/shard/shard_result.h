@@ -10,11 +10,17 @@
 //     per-prover/per-bin products of accepted commitments are bit-identical
 //     to what the monolithic PublicVerifier::ValidateClients path computes
 //     (per-client decisions are independent and deterministic; sharding only
-//     changes which random-linear combination covers which proofs, and batch
-//     failure always falls back to the per-proof oracle).
+//     changes which random-linear combination covers which proofs, and a
+//     failed batch is resolved to per-proof verdicts).
 //   - Confined blame attribution: a corrupted upload makes only its own
-//     shard's RLC check fail, so only that shard re-verifies per proof. The
-//     fallback cost is bounded by the shard size, not the population.
+//     shard's batch check fail, and only that shard searches for it.
+//     A split failure (e0 + e1 != e) is blamed on its proof directly; the
+//     rest are found by bisecting the shard's RLC error (OrBatch::Blame,
+//     src/batch/batch_or_proof.h): each failing half-set costs one MSM over
+//     half its proofs, so one cheater among n proofs costs about one more
+//     RLC instead of n per-proof checks. A density cutoff sends failing sets
+//     the search cannot afford to per-proof OrVerify, so even a shard of
+//     nothing but forgeries costs at most the per-proof re-scan plus one RLC.
 #ifndef SRC_SHARD_SHARD_RESULT_H_
 #define SRC_SHARD_SHARD_RESULT_H_
 
@@ -67,8 +73,8 @@ struct ShardResult {
   // partial_products[k][m] = prod over accepted uploads of commitments[k][m]
   // -- this shard's contribution to the Eq. 10 left-hand side.
   std::vector<std::vector<typename G::Element>> partial_products;
-  // True iff this shard's RLC batch check failed and the shard re-verified
-  // per proof to attribute blame.
+  // True iff this shard's batch check failed (a split or the RLC) and the
+  // shard searched for the invalid proofs to attribute blame.
   bool fallback_used = false;
 };
 
@@ -115,10 +121,10 @@ ShardResult<G> BuildShardResult(const ProtocolConfig& config,
 }
 
 // Verifies uploads[0..count) as one shard whose first element has global
-// index `base`. Structural checks and (on fallback) per-proof re-checks fan
-// across `pool`; the RLC batch check shards its MSM onto `pool` too. Pass
-// pool == nullptr when calling from inside a pool task (ParallelFor does not
-// nest). This is the single implementation of the batched validation
+// index `base`. Structural checks and the per-proof split checks fan across
+// `pool`; the RLC batch check and the blame search shard their MSMs onto
+// `pool` too. Pass pool == nullptr when calling from inside a pool task
+// (ParallelFor does not nest). This is the single implementation of the batched validation
 // algorithm: a batch_verify-only config runs it as one whole-stream shard,
 // and every sharded or fleet path runs it per shard, so they cannot drift
 // apart.
@@ -154,6 +160,7 @@ ShardResult<G> VerifyShard(const ProtocolConfig& config, const Pedersen<G>& ped,
   // this shard. Contexts carry the *global* client index, so the challenge
   // schedule is identical to the monolithic verifier's.
   std::vector<OrInstance<G>> instances;
+  std::vector<size_t> owner;  // instances[j] is a bin proof of uploads[owner[j]]
   for (size_t i = 0; i < count; ++i) {
     if (ok[i] == 0) {
       continue;
@@ -161,32 +168,25 @@ ShardResult<G> VerifyShard(const ProtocolConfig& config, const Pedersen<G>& ped,
     for (size_t bin = 0; bin < aggregated[i].size(); ++bin) {
       instances.push_back({aggregated[i][bin], uploads[i].bin_proofs[bin],
                            ClientProofContext(config.session_id, base + i, bin)});
+      owner.push_back(i);
     }
   }
-  bool fallback_used = false;
   obs::TraceSpan rlc_span(tracer, "rlc", shard_span.context());
-  const bool rlc_ok = BatchOrVerify(ped, instances, pool);
+  OrBatch<G> batch(ped, instances, pool);
+  const bool batch_ok = batch.RootPasses(pool) && batch.split_failures() == 0;
   rlc_span.End();
-  if (!rlc_ok) {
-    // Someone in *this shard* cheated; re-run the per-proof oracle on this
-    // shard only. Decisions stay bit-identical to the monolithic path because
-    // the per-upload verdict is independent of every other upload.
-    fallback_used = true;
-    obs::TraceSpan fallback_span(tracer, "fallback", shard_span.context());
-    auto recheck = [&](size_t i) {
-      if (ok[i] == 0) {
-        return;
+  if (!batch_ok) {
+    // Someone in *this shard* cheated: find them in the error tree. Every
+    // per-upload verdict is the per-proof oracle's, because each proof's
+    // verdict is independent of every other proof.
+    obs::TraceSpan bisect_span(tracer, "bisect", shard_span.context());
+    const std::vector<uint8_t> valid = batch.Blame(pool);
+    for (size_t j = 0; j < instances.size(); ++j) {
+      if (valid[j] == 0) {
+        why[owner[j]] = kDetailProofInvalid;
+        ok[owner[j]] = 0;
       }
-      for (size_t bin = 0; bin < aggregated[i].size(); ++bin) {
-        if (!OrVerify(ped, aggregated[i][bin], uploads[i].bin_proofs[bin],
-                      ClientProofContext(config.session_id, base + i, bin))) {
-          why[i] = kDetailProofInvalid;
-          ok[i] = 0;
-          return;
-        }
-      }
-    };
-    ForEachIndex(pool, count, recheck);
+    }
   }
 
   const double shard_us = shard_timer.ElapsedMicros();
@@ -195,7 +195,7 @@ ShardResult<G> VerifyShard(const ProtocolConfig& config, const Pedersen<G>& ped,
     obs::GlobalHistogram(obs::kVerifyUsPerProof)->Record(shard_us / static_cast<double>(count));
   }
   return BuildShardResult(config, uploads, count, base, shard_index, ok, why,
-                          compute_products, fallback_used);
+                          compute_products, !batch_ok);
 }
 
 // Deterministic combiner: merges shard results (which must cover contiguous,

@@ -96,7 +96,7 @@ class ShardExecutor {
 };
 
 // The in-process executor: each shard is batch-verified (RLC + MSM, with the
-// per-proof fallback) by VerifyShard. With lanes > 1 each lane runs its
+// bisection blame search) by VerifyShard. With lanes > 1 each lane runs its
 // shard serially -- cross-shard parallelism comes from the lanes themselves;
 // with a single lane the shard gets the whole pool internally, which is the
 // right shape for a one-shot whole-stream shard (batch_verify without

@@ -3,8 +3,9 @@
 // ValidateClientUpload), independent uploads fanned across the thread pool.
 //
 // This is the slowest backend and the ground truth: the sharded (RLC-batched)
-// and remote backends both fall back to this per-proof check to attribute
-// blame, which is why their decisions cannot diverge from it.
+// and remote backends must reach its verdicts exactly. Their blame search
+// (src/batch/batch_or_proof.h) rejects only proofs that are invalid, and
+// ends in this same per-proof OrVerify at its leaves.
 //
 // Streaming runs the same per-proof oracle over dispatcher-cut shards (the
 // verdict is per-upload and carries the global index, so the cut is

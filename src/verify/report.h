@@ -47,7 +47,7 @@ inline const char* RejectCodeName(RejectCode code) {
 }
 
 // The canonical detail strings of the validation layer. Producers
-// (src/core/client.h, the per-proof fallback in src/shard/) and the
+// (src/core/client.h, the blame search in src/shard/) and the
 // classifier below share these constants, so a reworded rejection cannot
 // silently decouple the typed code from the string.
 inline constexpr const char* kDetailMalformedUpload = "malformed upload shape";
@@ -155,7 +155,7 @@ struct VerifyReport {
 
   size_t total_uploads = 0;
   size_t num_shards = 0;
-  size_t shards_with_fallback = 0;  // shards that paid the per-proof fallback
+  size_t shards_with_fallback = 0;  // shards whose batch check failed (blame search)
 
   VerifyTimings timings;
 

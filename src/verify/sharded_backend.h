@@ -1,5 +1,5 @@
 // ShardedBackend: the upload stream partitioned into contiguous shards, each
-// batch-verified independently (RLC + MSM, per-proof blame fallback) by the
+// batch-verified independently (RLC + MSM, bisection blame search) by the
 // in-process executor, cut and dispatched by the streaming spine
 // (src/shard/stream_dispatch.h), and merged by the deterministic combiner.
 //

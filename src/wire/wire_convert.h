@@ -86,9 +86,7 @@ WireShardTask MakeShardTask(const Sha256::Digest& params_digest, size_t shard_in
   task.base = base;
   task.compute_products = compute_products ? 1 : 0;
   task.uploads.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    task.uploads.push_back(uploads[i].Serialize());
-  }
+  SerializeUploads(uploads, count, [&](Bytes bytes) { task.uploads.push_back(std::move(bytes)); });
   return task;
 }
 

@@ -155,6 +155,31 @@ TEST_F(RunLogSchemaTest, MetricAndHistogramLinesAreGolden) {
   EXPECT_GE(lines[2].NumberOr("p99", -1), lines[2].NumberOr("p50", -1));
 }
 
+// The verification-core counters trend jobs read, by their canonical names:
+// each is a plain counter line.
+TEST_F(RunLogSchemaTest, VerifyCoreCountersAreCounterLines) {
+  const std::vector<std::string> names = {kMsmCalls, kMsmScalars, kVerifyBisectBatches};
+  {
+    auto log = RunLogWriter::Open(path_);
+    ASSERT_NE(log, nullptr);
+    MetricsRegistry registry;
+    for (size_t i = 0; i < names.size(); ++i) {
+      registry.GetCounter(names[i].c_str())->Add(i + 1);
+    }
+    log->Metrics(registry.Snapshot());
+  }
+  auto lines = ReadLines();
+  ASSERT_EQ(lines.size(), names.size());
+  std::set<std::string> seen;
+  for (const auto& line : lines) {
+    ExpectValid(line);
+    EXPECT_EQ(line.StringOr("type", ""), "counter");
+    seen.insert(line.StringOr("name", ""));
+  }
+  EXPECT_EQ(seen, std::set<std::string>(names.begin(), names.end()));
+  EXPECT_EQ(std::string(kVerifyBisectBatches), "verify.bisect_batches");
+}
+
 TEST_F(RunLogSchemaTest, SpanLineIsGoldenWithHexIds) {
   {
     auto log = RunLogWriter::Open(path_);
