@@ -21,7 +21,8 @@
 // and the process's metric counters. The thread-pool sweep (1, 2, all
 // cores) makes the scaling story explicit instead of leaving it to whatever
 // machine CI happened to land on -- the unsuffixed scenario rows are the
-// all-cores runs, which is what BENCH_backend_matrix.json baselines.
+// all-cores runs. The committed BENCH_backend_matrix.jsonl is one such
+// run-log, and metrics_report --compare trends every row against it.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -79,6 +80,12 @@ int RunMatrix(vdp::obs::RunLogWriter* log, const std::vector<size_t>& pool_sizes
   for (size_t i = 0; i < kUploads; ++i) {
     uploads.push_back(vdp::MakeClientBundle<G>(i % 2, i, base, ped, rng).upload);
   }
+  // One untimed remote run first, so the shared fleet's cold start (spawn,
+  // first handshakes, the servers' setup for this group) stays out of the
+  // first timed remote row.
+  vdp::MakeVerifyBackend<G>(vdp::VerifyBackendKind::kRemote,
+                            ConfigFor<G>(vdp::VerifyBackendKind::kRemote), ped)
+      ->VerifyAll(uploads);
 
   // Two regimes: an all-valid stream (the RLC batch accepts in one check)
   // and a stream with one tampered proof (sharding confines the per-proof

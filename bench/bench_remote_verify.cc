@@ -123,7 +123,7 @@ int main() {
     auto inproc = sharded->VerifyAll(uploads, options);
     const double inproc_ms = timer.ElapsedMillis();
     inproc_accepted = inproc.accepted;
-    // "in-process:0" matches the legacy baseline's {mode, fleet} row key.
+    // Row keys are "<mode>:<servers>", the committed baseline's naming.
     emit(scenario, "in-process:0", inproc.timings, inproc_ms, inproc.accepted.size(),
          0, 0);
     std::printf("in-process            : %8.1f ms (%zu accepted)\n", inproc_ms,
@@ -135,11 +135,12 @@ int main() {
       remote_config.remote_verifiers.assign(endpoints.begin(),
                                             endpoints.begin() + servers);
       remote_config.remote_auth_key_hex = fleet.key_hex();
-      vdp::RemoteVerifierFleet<G> verifier(remote_config, ped);
-      vdp::RemoteFleetReport report;
+      auto verifier =
+          vdp::MakeVerifyBackend<G>(vdp::VerifyBackendKind::kRemote, remote_config, ped);
       timer.Reset();
-      auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+      auto verdict = verifier->VerifyAll(uploads);
       const double elapsed_ms = timer.ElapsedMillis();
+      const vdp::RemoteFleetReport report = verifier->last_fleet_report();
       emit(scenario, "remote:" + std::to_string(servers), verdict.timings, elapsed_ms,
            verdict.accepted.size(), report.shards_recovered_in_process,
            report.failures.size());
@@ -167,15 +168,16 @@ int main() {
     faulty.ApplyTo(&remote_config);
 
     vdp::obs::TraceCollector tracer;
-    vdp::RemoteFleetOptions fleet_options;
-    fleet_options.tracer = &tracer;
-    fleet_options.trace_parent = tracer.RootContext();
+    vdp::VerifyOptions traced;
+    traced.tracer = &tracer;
+    traced.trace_parent = tracer.RootContext();
 
-    vdp::RemoteVerifierFleet<G> verifier(remote_config, ped, fleet_options);
-    vdp::RemoteFleetReport report;
+    auto verifier =
+        vdp::MakeVerifyBackend<G>(vdp::VerifyBackendKind::kRemote, remote_config, ped);
     timer.Reset();
-    auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+    auto verdict = verifier->VerifyAll(uploads, traced);
     const double elapsed_ms = timer.ElapsedMillis();
+    const vdp::RemoteFleetReport report = verifier->last_fleet_report();
     emit("traced-faulty", "remote:3", verdict.timings, elapsed_ms,
          verdict.accepted.size(), report.shards_recovered_in_process,
          report.failures.size());

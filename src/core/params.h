@@ -50,12 +50,12 @@ struct ProtocolConfig {
   // exponentiation chains. Accept/reject decisions match the per-proof path:
   // an all-valid batch always accepts, and on batch failure the verifier
   // falls back to per-proof checks to attribute blame. For client uploads
-  // this selects the sharded backend (src/verify/sharded_backend.h); with
+  // this selects the sharded backend (src/verify/factory.h); with
   // num_verify_shards at 1 the whole stream is one batch.
   bool batch_verify = false;
 
   // Partition client uploads into this many contiguous shards for validation
-  // (src/verify/sharded_backend.h). Each shard batch-verifies independently
+  // (src/verify/factory.h). Each shard batch-verifies independently
   // (fanned across the ThreadPool) and a deterministic combiner merges the
   // per-shard results; the accepted set is bit-identical to the monolithic
   // path. On a batch failure only the offending shard searches for the
@@ -69,7 +69,7 @@ struct ProtocolConfig {
 
   // Farm shard verification out to this many local verify_server processes:
   // when remote_verifiers is empty, the remote backend
-  // (src/verify/remote_backend.h) spawns them on loopback under a fresh
+  // (src/net/remote_fleet.h) spawns them on loopback under a fresh
   // fleet secret and drives them exactly like a remote fleet -- blamed
   // retries and in-process recovery included, so the verdict never depends
   // on fleet health. 0 (the default) keeps verification in process; 1 is

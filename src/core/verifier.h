@@ -101,20 +101,13 @@ class PublicVerifier {
                   const std::vector<size_t>& accepted_clients, const ProverCoinsMsg<G>& coins,
                   const std::vector<std::vector<bool>>& public_bits,
                   const ProverOutputMsg<G>& output) const {
-    const size_t bins = config_.num_bins;
-    if (output.y.size() != bins || output.z.size() != bins) {
-      return false;
-    }
-    for (size_t bin = 0; bin < bins; ++bin) {
-      Element product = G::Identity();
-      for (size_t client : accepted_clients) {
-        product = G::Mul(product, uploads[client].commitments[prover_index][bin]);
-      }
-      if (!CheckFinalBin(bin, product, coins, public_bits, output)) {
-        return false;  // reject on the first bad bin, before touching the rest
+    std::vector<Element> products(config_.num_bins, G::Identity());
+    for (size_t client : accepted_clients) {
+      for (size_t bin = 0; bin < products.size(); ++bin) {
+        products[bin] = G::Mul(products[bin], uploads[client].commitments[prover_index][bin]);
       }
     }
-    return true;
+    return CheckFinalWithProducts(products, coins, public_bits, output);
   }
 
   // Eq. 10 given the precomputed per-bin product of this prover's accepted
@@ -132,7 +125,7 @@ class PublicVerifier {
     }
     for (size_t bin = 0; bin < bins; ++bin) {
       if (!CheckFinalBin(bin, client_products[bin], coins, public_bits, output)) {
-        return false;
+        return false;  // reject on the first bad bin, before touching the rest
       }
     }
     return true;

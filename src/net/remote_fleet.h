@@ -1,12 +1,17 @@
-// Multi-machine shard verification: an executor that farms shards of the
+// Multi-machine shard verification: the executor that farms shards of the
 // upload stream out to verify_server daemons over authenticated sockets
 // (src/net/auth.h over src/wire/frame_io.h), and feeds the decoded
 // ShardResults into the same deterministic combiner as every other path.
+// MakeVerifyBackend (src/verify/factory.h) runs it as the "remote" backend.
 //
 // Topology: the streaming dispatcher (src/shard/stream_dispatch.h) runs one
 // lane per configured endpoint, each owning one persistent connection to its
 // verifier; shards flow to lanes as the dispatcher seals them, so remote
-// machines verify while the driver is still ingesting. Failure handling is
+// machines verify while the driver is still ingesting. The fleet comes from
+// ProtocolConfig::remote_verifiers, or -- when that list is empty --
+// ProtocolConfig::verify_workers = N is sugar for a local fleet: the
+// executor spawns and owns N loopback verify_servers under a fresh fleet
+// secret (net::LoopbackFleet), and they go down with it. Failure handling is
 // strictly per-shard:
 //
 //   - A connection that fails mid-shard (dropped, timed out, bad MAC, result
@@ -21,13 +26,14 @@
 //
 // Either way every shard yields exactly one ShardResult and the combined
 // verdict is bit-identical to the in-process path; fleet trouble only shows
-// up in the RemoteFleetReport.
+// up in the RemoteFleetReport of the stream.
 #ifndef SRC_NET_REMOTE_FLEET_H_
 #define SRC_NET_REMOTE_FLEET_H_
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -39,6 +45,7 @@
 #include "src/common/timer.h"
 #include "src/net/health.h"
 #include "src/net/remote_conn.h"
+#include "src/net/server_process.h"
 #include "src/net/socket.h"
 #include "src/shard/shard_result.h"
 #include "src/shard/stream_dispatch.h"
@@ -73,12 +80,6 @@ struct RemoteFleetOptions {
   // Connect+handshake tries per (re)connection, with backoff between.
   size_t connect_attempts = 2;
   int reconnect_backoff_ms = 50;
-  // When set, dispatches record "dispatch" spans here (parented under
-  // trace_parent), span context crosses the wire, and server-recorded spans
-  // are adopted back into this collector. Used by the one-shot VerifyAll
-  // entry point; dispatcher streams override it via BeginStream.
-  obs::TraceCollector* tracer = nullptr;
-  obs::TraceContext trace_parent{};
   // When set, dispatch consults the health registry (fed by a background
   // prober): shards skip endpoints it calls dead (straight to the
   // in-process fallback, kFleetDispatchSkips) instead of paying the connect
@@ -87,14 +88,21 @@ struct RemoteFleetOptions {
   net::HealthRegistry* health = nullptr;
 };
 
-// Farms shards to the fleet named by config.remote_verifiers, authenticated
-// with config.remote_auth_key_hex. The config must have passed Validate().
+// Farms shards to the fleet named by config.remote_verifiers (or spawned
+// for config.verify_workers), authenticated with config.remote_auth_key_hex.
+// The config must have passed Validate().
 template <PrimeOrderGroup G>
 class RemoteVerifierFleet final : public ShardExecutor<G> {
  public:
   RemoteVerifierFleet(const ProtocolConfig& config, Pedersen<G> ped,
                       RemoteFleetOptions options = {})
       : config_(config), ped_(std::move(ped)), options_(std::move(options)) {
+    if (config_.remote_verifiers.empty() && config_.verify_workers > 1) {
+      // Servers that fail to spawn leave the fleet short; with none at all
+      // every shard is recovered in process.
+      local_fleet_ = std::make_unique<net::LoopbackFleet>(config_.verify_workers);
+      local_fleet_->ApplyTo(&config_);
+    }
     for (const std::string& spec : config_.remote_verifiers) {
       auto endpoint = net::ParseEndpoint(spec);
       if (endpoint.has_value()) {  // Validate() guarantees this; belt and braces
@@ -175,32 +183,20 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     }
   }
 
-  // Fleet health accumulated since BeginStream (or construction).
+  // Fleet health of the current (or last finished) stream: blamed
+  // failures, shards served remotely vs recovered in process, connections
+  // and reconnects.
+  RemoteFleetReport Report() const {
+    std::lock_guard<std::mutex> lock(report_mutex_);
+    return report_;
+  }
+
+  // Same, and resets it.
   RemoteFleetReport TakeReport() {
     std::lock_guard<std::mutex> lock(report_mutex_);
     RemoteFleetReport out = std::move(report_);
     report_ = RemoteFleetReport{};
     return out;
-  }
-
-  // One-shot verification of an in-memory vector across the remote fleet.
-  // The shard partition honors config.num_verify_shards when set (> 1);
-  // otherwise it defaults to two shards per endpoint so a straggler can be
-  // overlapped. Runs through the same dispatcher/lane machinery as
-  // streaming, viewing the caller's vector (no copies).
-  VerifyReport<G> VerifyAll(const std::vector<ClientUploadMsg<G>>& uploads,
-                            bool compute_products = true,
-                            RemoteFleetReport* report = nullptr) {
-    const size_t shards = config_.num_verify_shards > 1
-                              ? config_.num_verify_shards
-                              : 2 * std::max<size_t>(1, endpoints_.size());
-    VerifyReport<G> combined = DispatchAllShards<G>(config_, this, uploads, shards,
-                                                    compute_products, options_.tracer,
-                                                    options_.trace_parent);
-    if (report != nullptr) {
-      *report = TakeReport();
-    }
-    return combined;
   }
 
  private:
@@ -393,6 +389,9 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     report_.failures.push_back(RemoteFailure{shard, endpoint, std::move(reason)});
   }
 
+  // The verify_workers fleet, null otherwise. Declared first so the servers
+  // go down last, after every lane connection has closed.
+  std::unique_ptr<net::LoopbackFleet> local_fleet_;
   ProtocolConfig config_;
   Pedersen<G> ped_;
   RemoteFleetOptions options_;
@@ -401,7 +400,7 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
   Bytes setup_payload_;
   Sha256::Digest params_digest_;
   std::vector<LaneState> lanes_;  // one slot per lane
-  std::mutex report_mutex_;
+  mutable std::mutex report_mutex_;
   RemoteFleetReport report_;
 };
 

@@ -1,7 +1,7 @@
 // Local verify_server process plumbing: spawn a daemon on a loopback
 // endpoint, discover the port it bound, and tear it down without leaking
 // fds or zombies. This is how ProtocolConfig::verify_workers stands up its
-// local fleet (src/verify/remote_backend.h), and how tests, benches, and
+// local fleet (src/net/remote_fleet.h), and how tests, benches, and
 // the VDP_REMOTE_VERIFIERS CI hook stand up a real socket fleet inside one
 // box; production fleets run verify_server under their own supervisor (see
 // README "Deploying remote verifiers").

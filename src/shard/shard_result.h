@@ -38,26 +38,6 @@
 
 namespace vdp {
 
-namespace shard_internal {
-
-// Dispatch policy shared by the one-shot and streaming paths: fan whole
-// shards across the pool only when there are enough of them to occupy every
-// worker; otherwise run them serially and give each shard the full pool
-// internally (same total work, full parallelism either way). verify is
-// called as verify(shard_index, inner_pool).
-template <typename Fn>
-void DispatchShards(size_t n, ThreadPool* pool, const Fn& verify) {
-  if (pool != nullptr && n > 1 && n >= pool->worker_count()) {
-    pool->ParallelFor(n, [&](size_t s) { verify(s, nullptr); });
-  } else {
-    for (size_t s = 0; s < n; ++s) {
-      verify(s, pool);
-    }
-  }
-}
-
-}  // namespace shard_internal
-
 // Outcome of verifying one contiguous shard of the upload stream. Everything
 // downstream (combiner, Eq. 10 check) needs survives here; the uploads
 // themselves can be released once this is produced.
@@ -81,10 +61,10 @@ struct ShardResult {
 // Reduces per-upload verdicts (ok / why, with global index base + i) to a
 // compact ShardResult: accepted indices, rejections, and optionally the
 // per-(prover, bin) partial products of accepted commitments. The single
-// implementation of result assembly -- VerifyShard and PerProofBackend
-// (src/verify/per_proof_backend.h) both build their results here, so the
-// bit-identity contract between backends cannot be broken by one copy
-// drifting. Consumes `why` (details are moved out).
+// implementation of result assembly -- VerifyShard and VerifyShardPerProof
+// both build their results here, so the bit-identity contract between
+// backends cannot be broken by one copy drifting. Consumes `why` (details
+// are moved out).
 template <PrimeOrderGroup G>
 ShardResult<G> BuildShardResult(const ProtocolConfig& config,
                                 const ClientUploadMsg<G>* uploads, size_t count, size_t base,
@@ -196,6 +176,24 @@ ShardResult<G> VerifyShard(const ProtocolConfig& config, const Pedersen<G>& ped,
   }
   return BuildShardResult(config, uploads, count, base, shard_index, ok, why,
                           compute_products, !batch_ok);
+}
+
+// The per-proof oracle over one shard: every upload checked on its own by
+// ValidateClientUpload (src/core/client.h), uploads fanned across `pool`.
+// No RLC, no blame search, no sub-spans. This is the ground truth the
+// batched path must reach: its blame search ends in this same OrVerify.
+template <PrimeOrderGroup G>
+ShardResult<G> VerifyShardPerProof(const ProtocolConfig& config, const Pedersen<G>& ped,
+                                   const ClientUploadMsg<G>* uploads, size_t count,
+                                   size_t base, size_t shard_index, ThreadPool* pool,
+                                   bool compute_products) {
+  std::vector<uint8_t> ok(count, 0);
+  std::vector<std::string> why(count);
+  ForEachIndex(pool, count, [&](size_t i) {
+    ok[i] = ValidateClientUpload(uploads[i], base + i, config, ped, &why[i]) ? 1 : 0;
+  });
+  return BuildShardResult(config, uploads, count, base, shard_index, ok, why,
+                          compute_products);
 }
 
 // Deterministic combiner: merges shard results (which must cover contiguous,

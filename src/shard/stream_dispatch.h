@@ -31,6 +31,7 @@
 #ifndef SRC_SHARD_STREAM_DISPATCH_H_
 #define SRC_SHARD_STREAM_DISPATCH_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -61,8 +62,8 @@ struct ShardPayload {
   size_t count() const { return view != nullptr ? view_count : owned.size(); }
 };
 
-// An execution engine for sealed shards: in-process batch verification, the
-// per-proof oracle, or the verify_server socket fleet. The dispatcher
+// An execution engine for sealed shards: in-process verification (batched
+// or the per-proof oracle) or the verify_server socket fleet. The dispatcher
 // runs lanes() threads; lane i receives every one of its ExecuteShard(i, ..)
 // calls from the same thread and CloseLane(i) from that thread when the
 // stream drains, so per-lane resources (a connection) need no
@@ -72,6 +73,15 @@ template <PrimeOrderGroup G>
 class ShardExecutor {
  public:
   virtual ~ShardExecutor() = default;
+
+  // Called by the backend before each stream, ahead of lanes(): the caller's
+  // pool and the number of shards known up front (0 when streaming). An
+  // executor whose lanes are fixed resources (a fleet's endpoints) ignores
+  // both.
+  virtual void Prepare(ThreadPool* pool, size_t shards) {
+    (void)pool;
+    (void)shards;
+  }
 
   // How many shards this executor can usefully run concurrently.
   virtual size_t lanes() const = 0;
@@ -96,39 +106,45 @@ class ShardExecutor {
 };
 
 // The in-process executor: each shard is batch-verified (RLC + MSM, with the
-// bisection blame search) by VerifyShard. With lanes > 1 each lane runs its
-// shard serially -- cross-shard parallelism comes from the lanes themselves;
-// with a single lane the shard gets the whole pool internally, which is the
-// right shape for a one-shot whole-stream shard (batch_verify without
-// num_verify_shards).
+// bisection blame search) by VerifyShard, or checked proof by proof by
+// VerifyShardPerProof. One lane rule: a lane per pool worker, but no more
+// lanes than shards known up front, and a lane gets the pool only when it is
+// the only lane. Several lanes each run their shard serially (cross-shard
+// parallelism comes from the lanes); a lone lane -- a one-shot whole-stream
+// shard -- fans its shard across the whole pool.
 template <PrimeOrderGroup G>
 class InProcessShardExecutor final : public ShardExecutor<G> {
  public:
-  // forced_lanes == 0 sizes the lane count to the pool (one lane per pool
-  // worker, or one lane without a pool).
-  InProcessShardExecutor(const ProtocolConfig& config, const Pedersen<G>& ped,
-                         ThreadPool* pool, size_t forced_lanes = 0)
-      : config_(config),
-        ped_(ped),
-        pool_(pool),
-        lanes_(forced_lanes > 0 ? forced_lanes
-               : pool != nullptr ? std::max<size_t>(1, pool->worker_count())
-                                 : 1) {}
+  InProcessShardExecutor(const ProtocolConfig& config, Pedersen<G> ped, bool per_proof)
+      : config_(config), ped_(std::move(ped)), per_proof_(per_proof) {}
+
+  void Prepare(ThreadPool* pool, size_t shards) override {
+    pool_ = pool;
+    lanes_ = pool != nullptr ? std::max<size_t>(1, pool->worker_count()) : 1;
+    if (shards > 0) {
+      lanes_ = std::min(lanes_, shards);
+    }
+  }
 
   size_t lanes() const override { return lanes_; }
 
   ShardResult<G> ExecuteShard(size_t /*lane*/, const ShardPayload<G>& shard) override {
     ThreadPool* inner = lanes_ == 1 ? pool_ : nullptr;
+    if (per_proof_) {
+      return VerifyShardPerProof(config_, ped_, shard.data(), shard.count(), shard.base,
+                                 shard.shard_index, inner, shard.compute_products);
+    }
     return VerifyShard(config_, ped_, shard.data(), shard.count(), shard.base,
                        shard.shard_index, inner, shard.compute_products, this->tracer_,
                        this->verify_ctx_);
   }
 
  private:
-  const ProtocolConfig& config_;
-  const Pedersen<G>& ped_;
-  ThreadPool* pool_;
-  size_t lanes_;
+  ProtocolConfig config_;
+  Pedersen<G> ped_;
+  bool per_proof_;
+  ThreadPool* pool_ = nullptr;
+  size_t lanes_ = 1;
 };
 
 struct StreamDispatchOptions {

@@ -4,16 +4,17 @@
 // `batch_verify`, `num_verify_shards`, `verify_workers`, and
 // `remote_verifiers` are config-surface only: SelectVerifyBackend is the
 // whole selection policy, and PublicVerifier, RunProtocol, and
-// AuditTranscript never re-interpret the flags themselves.
+// AuditTranscript never re-interpret the flags themselves. A backend kind is
+// nothing but a ShardExecutor and a one-shot partition for the one
+// VerifyBackend class (src/verify/backend.h). Selected first match wins:
 //
-// Three strategies, selected first match wins:
-//
-//   remote_verifiers set, or
-//   verify_workers > 1    ->  RemoteBackend    (verify_server fleet; spawned
-//                                               locally for verify_workers)
-//   batch_verify, or
-//   num_verify_shards > 1 ->  ShardedBackend   (in-process RLC shard pipeline)
-//   otherwise             ->  PerProofBackend  (the per-proof oracle)
+//   remote_verifiers set, or   "remote": RemoteVerifierFleet (src/net/), one
+//   verify_workers > 1          lane per endpoint; num_verify_shards shards
+//                               when > 1, else two per endpoint
+//   batch_verify, or           "sharded": InProcessShardExecutor, RLC
+//   num_verify_shards > 1       batches; num_verify_shards shards
+//   otherwise                  "per-proof": InProcessShardExecutor, the
+//                               per-proof oracle; one whole-stream shard
 #ifndef SRC_VERIFY_FACTORY_H_
 #define SRC_VERIFY_FACTORY_H_
 
@@ -24,9 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/verify/per_proof_backend.h"
-#include "src/verify/remote_backend.h"
-#include "src/verify/sharded_backend.h"
+#include "src/verify/backend.h"
 
 namespace vdp {
 
@@ -77,23 +76,40 @@ inline VerifyBackendKind SelectVerifyBackend(const ProtocolConfig& config) {
 }
 
 // Constructs a specific backend. Validates the config first: a nonsensical
-// ProtocolConfig never reaches a backend.
+// ProtocolConfig never reaches a backend. `fleet_options` tunes the remote
+// executor's timeouts and retries; the in-process kinds ignore it.
 template <PrimeOrderGroup G>
-std::unique_ptr<VerifyBackend<G>> MakeVerifyBackend(VerifyBackendKind kind,
-                                                    const ProtocolConfig& config,
-                                                    Pedersen<G> ped) {
+std::unique_ptr<VerifyBackend<G>> MakeVerifyBackend(
+    VerifyBackendKind kind, const ProtocolConfig& config, Pedersen<G> ped,
+    const RemoteFleetOptions& fleet_options = {}) {
   if (auto error = config.Validate(); error.has_value()) {
     throw std::invalid_argument(error->Render());
   }
+  std::unique_ptr<ShardExecutor<G>> executor;
+  size_t one_shot_shards = config.num_verify_shards;
   switch (kind) {
     case VerifyBackendKind::kPerProof:
-      return std::make_unique<PerProofBackend<G>>(config, std::move(ped));
+      executor = std::make_unique<InProcessShardExecutor<G>>(config, std::move(ped),
+                                                             /*per_proof=*/true);
+      one_shot_shards = 1;
+      break;
     case VerifyBackendKind::kSharded:
-      return std::make_unique<ShardedBackend<G>>(config, std::move(ped));
+      executor = std::make_unique<InProcessShardExecutor<G>>(config, std::move(ped),
+                                                             /*per_proof=*/false);
+      break;
     case VerifyBackendKind::kRemote:
-      return std::make_unique<RemoteBackend<G>>(config, std::move(ped));
+      executor = std::make_unique<RemoteVerifierFleet<G>>(config, std::move(ped),
+                                                          fleet_options);
+      if (one_shot_shards <= 1) {
+        one_shot_shards = 2 * executor->lanes();  // lanes: one per endpoint
+      }
+      break;
   }
-  throw std::invalid_argument("unknown VerifyBackendKind");
+  if (executor == nullptr) {
+    throw std::invalid_argument("unknown VerifyBackendKind");
+  }
+  return std::make_unique<VerifyBackend<G>>(VerifyBackendKindName(kind), config,
+                                            std::move(executor), one_shot_shards);
 }
 
 // Constructs the backend the config's flags select. This is the factory

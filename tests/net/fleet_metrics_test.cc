@@ -70,9 +70,11 @@ TEST_F(FleetMetricsTest, HealthyRunCountsConnectionsAndRemoteShards) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/false, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  VerifyOptions options;
+  options.compute_products = false;
+  auto verdict = verifier->VerifyAll(uploads, options);
+  RemoteFleetReport report = verifier->last_fleet_report();
   EXPECT_EQ(verdict.accepted.size(), uploads.size());
 
   EXPECT_GE(Count(obs::kFleetConnections), 1u);
@@ -97,9 +99,11 @@ TEST_F(FleetMetricsTest, WrongShardResultsAreRetriedAndBlamed) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/false, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  VerifyOptions options;
+  options.compute_products = false;
+  auto verdict = verifier->VerifyAll(uploads, options);
+  RemoteFleetReport report = verifier->last_fleet_report();
   EXPECT_EQ(verdict.accepted.size(), uploads.size());
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
 
@@ -119,9 +123,11 @@ TEST_F(FleetMetricsTest, DroppedConnectionsCountReconnects) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/false, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  VerifyOptions options;
+  options.compute_products = false;
+  auto verdict = verifier->VerifyAll(uploads, options);
+  RemoteFleetReport report = verifier->last_fleet_report();
   EXPECT_EQ(verdict.accepted.size(), uploads.size());
 
   EXPECT_GE(Count(obs::kFleetReconnects), 1u);
@@ -142,9 +148,11 @@ TEST_F(FleetMetricsTest, GarbageResultsCountAuthFailures) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/false, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  VerifyOptions options;
+  options.compute_products = false;
+  auto verdict = verifier->VerifyAll(uploads, options);
+  RemoteFleetReport report = verifier->last_fleet_report();
   EXPECT_EQ(verdict.accepted.size(), uploads.size());
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
 

@@ -3,7 +3,7 @@
 // read Progress/PartialReport and rip the fleet-health report out
 // mid-stream, a close-faulted server turns every one of its shards into a
 // reconnect -- a reconnect storm with concurrent observers -- and a
-// verify_workers backend spawns its fleet mid-stream under an observer.
+// verify_workers backend streams to its own spawned fleet under an observer.
 // Verdicts must still match the deterministic expectation; under
 // ThreadSanitizer any unsynchronized access in the executors' shared report
 // state or the dispatcher is a hard failure.
@@ -114,9 +114,7 @@ TEST(FleetStressTest, RemoteFleetReconnectStormWithConcurrentObservers) {
 // frontend would: Add on this thread, Progress from a monitor thread.
 VerifyReport<G> BackendStreamWithObserver(VerifyBackend<G>* backend,
                                           std::vector<ClientUploadMsg<G>> uploads) {
-  VerifyOptions options;
-  options.stream_shard_capacity = 3;
-  backend->Start(options);
+  backend->Start(VerifyOptions{});
   std::atomic<bool> stop{false};
   std::thread monitor([&] {
     while (!stop.load(std::memory_order_acquire)) {
@@ -136,6 +134,7 @@ VerifyReport<G> BackendStreamWithObserver(VerifyBackend<G>* backend,
 TEST(FleetStressTest, RemoteBackendProgressWhileStreaming) {
   net::LoopbackFleet fleet(2);
   ProtocolConfig config = BaseConfig();
+  config.stream_shard_capacity = 3;
   fleet.ApplyTo(&config);
   Pedersen<G> ped;
   auto uploads = Corpus(config, ped, 12);
@@ -144,17 +143,18 @@ TEST(FleetStressTest, RemoteBackendProgressWhileStreaming) {
   ExpectVerdict(BackendStreamWithObserver(backend.get(), std::move(uploads)), 12);
 }
 
-// verify_workers: the backend spawns its own server fleet on the producer
-// thread when the stream opens, while the monitor is already polling.
+// verify_workers: the backend streams to the server fleet it spawned, while
+// the monitor polls from the moment the stream opens.
 TEST(FleetStressTest, VerifyWorkersStreamWithConcurrentObserver) {
   ProtocolConfig config = BaseConfig();
+  config.stream_shard_capacity = 3;
   config.verify_workers = 2;
   Pedersen<G> ped;
   auto uploads = Corpus(config, ped, 15);
 
-  RemoteBackend<G> backend(config, ped);
-  ExpectVerdict(BackendStreamWithObserver(&backend, std::move(uploads)), 15);
-  const RemoteFleetReport& report = backend.last_fleet_report();
+  auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped);
+  ExpectVerdict(BackendStreamWithObserver(backend.get(), std::move(uploads)), 15);
+  const RemoteFleetReport report = backend->last_fleet_report();
   EXPECT_EQ(report.shards_from_remote, report.shards_total);
   EXPECT_TRUE(report.failures.empty()) << "first failure: " << report.failures[0].reason;
 }

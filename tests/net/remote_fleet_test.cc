@@ -93,9 +93,9 @@ TEST_F(RemoteFleetTest, LoopbackFleetMatchesOracle) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_total, 4u);
@@ -121,9 +121,9 @@ TEST_F(RemoteFleetTest, UnixSocketEndpointWorks) {
   config.remote_auth_key_hex = fleet.key_hex();
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_from_remote, report.shards_total);
   EXPECT_TRUE(report.failures.empty())
@@ -140,9 +140,9 @@ TEST_F(RemoteFleetTest, DeadEndpointRecoversInProcess) {
 
   RemoteFleetOptions options = FastOptions();
   options.connect_timeout_ms = 1'000;
-  RemoteVerifierFleet<G> verifier(config, ped_, options);
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, options);
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -159,9 +159,9 @@ TEST_F(RemoteFleetTest, WrongFleetSecretIsBlamedAndRecovered) {
   config.remote_auth_key_hex = std::string(64, 'f');
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -179,9 +179,9 @@ TEST_F(RemoteFleetTest, StaleSetupDigestIsRejected) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -199,9 +199,9 @@ TEST_F(RemoteFleetTest, ConnectionDroppedMidShardIsRetriedElsewhere) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_from_remote + report.shards_recovered_in_process,
@@ -227,9 +227,9 @@ TEST_F(RemoteFleetTest, HungServerTimesOutAndRecovers) {
   RemoteFleetOptions options = FastOptions();
   options.shard_timeout_ms = 300;
   options.max_attempts_per_shard = 1;
-  RemoteVerifierFleet<G> verifier(config, ped_, options);
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, options);
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -248,9 +248,9 @@ TEST_F(RemoteFleetTest, WrongShardResultIsRejected) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -266,9 +266,9 @@ TEST_F(RemoteFleetTest, GarbageResultFailsAuthentication) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, FastOptions());
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -291,9 +291,9 @@ TEST_F(RemoteFleetTest, KilledServerRecoversOnSurvivors) {
 
   RemoteFleetOptions options = FastOptions();
   options.connect_timeout_ms = 1'000;
-  RemoteVerifierFleet<G> verifier(config, ped_, options);
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto verifier = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, options);
+  auto verdict = verifier->VerifyAll(uploads);
+  RemoteFleetReport report = verifier->last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_from_remote + report.shards_recovered_in_process,
@@ -356,8 +356,9 @@ TEST_F(RemoteFleetTest, DeadEndpointsAreSkippedAtDispatchVerdictUnchanged) {
   EXPECT_TRUE(lanes.failures.empty()) << "first failure: " << lanes.failures[0].reason;
 
   // And the full stream through the dispatcher: verdict unchanged.
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, options);
+  auto verdict = backend->VerifyAll(uploads);
+  RemoteFleetReport report = backend->last_fleet_report();
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_from_remote + report.shards_recovered_in_process,
             report.shards_total);

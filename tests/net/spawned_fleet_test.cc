@@ -119,12 +119,12 @@ class SpawnedFleetTest : public ::testing::Test {
   // One one-shot run on a fresh backend, which spawns (and on return tears
   // down) its own verify_workers fleet.
   VerifyReport<G> RunFleet(RemoteFleetReport* report, bool compute_products = true) {
-    RemoteBackend<G> backend(config_, ped_);
+    auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config_, ped_);
     VerifyOptions options;
     options.compute_products = compute_products;
-    VerifyReport<G> verdict = backend.VerifyAll(uploads_, options);
+    VerifyReport<G> verdict = backend->VerifyAll(uploads_, options);
     EXPECT_EQ(verdict.backend, "remote");
-    *report = backend.last_fleet_report();
+    *report = backend->last_fleet_report();
     return verdict;
   }
 

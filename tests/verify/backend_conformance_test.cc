@@ -70,8 +70,8 @@ struct Suite {
         config.num_verify_shards = 5;
         break;
       case VerifyBackendKind::kRemote:
-        // A real loopback socket fleet, spawned by each backend on first use
-        // and down with it. The servers select this group from the wire
+        // A real loopback socket fleet, spawned by each backend when it is
+        // made and down with it. The servers select this group from the wire
         // setup frame.
         config.num_verify_shards = 5;
         config.verify_workers = WorkersFromEnv();
@@ -224,13 +224,14 @@ struct Suite {
 
     std::mt19937 rng(0x5eed0000u + static_cast<unsigned>(kind) * 97u);
     for (int round = 0; round < 4; ++round) {
-      VerifyOptions options;
-      options.stream_shard_capacity = 1 + rng() % 7;
-      options.stream_max_inflight_shards = 1 + rng() % 3;
+      ProtocolConfig config = ConfigFor(kind);
+      config.stream_shard_capacity = 1 + rng() % 7;
+      config.stream_max_inflight_shards = 1 + rng() % 3;
       SCOPED_TRACE("round " + std::to_string(round) + " capacity=" +
-                   std::to_string(options.stream_shard_capacity) + " window=" +
-                   std::to_string(options.stream_max_inflight_shards));
-      backend->Start(options);
+                   std::to_string(config.stream_shard_capacity) + " window=" +
+                   std::to_string(config.stream_max_inflight_shards));
+      backend = MakeVerifyBackend<G>(kind, config, ped);
+      backend->Start(VerifyOptions{});
       size_t i = 0;
       while (i < uploads.size()) {
         const uint32_t pick = rng() % 3;
@@ -425,10 +426,10 @@ struct Suite {
     auto uploads = Corpus(ped);
 
     VerifyReport<G> expected = Oracle(ped, uploads);
-    RemoteBackend<G> backend(config, ped, options);
-    VerifyReport<G> report = backend.VerifyAll(uploads);
+    auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped, options);
+    VerifyReport<G> report = backend->VerifyAll(uploads);
     ExpectSameDecisions(expected, report);
-    RemoteFleetReport fleet_report = backend.last_fleet_report();
+    RemoteFleetReport fleet_report = backend->last_fleet_report();
     EXPECT_EQ(fleet_report.shards_from_remote + fleet_report.shards_recovered_in_process,
               fleet_report.shards_total);
     return fleet_report;
@@ -564,6 +565,43 @@ TEST(BackendFactoryTest, SelectionPolicyMatchesFlags) {
   config.remote_verifiers = {"tcp:127.0.0.1:7000"};
   config.remote_auth_key_hex = std::string(32, 'a');
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);
+}
+
+// The one-shot partition each kind cuts a vector into: the unit of work
+// behind every fleet dispatch and backend-matrix row.
+TEST(BackendFactoryTest, OneShotPartitionPerKind) {
+  using G = ModP256;
+  Pedersen<G> ped;
+  ProtocolConfig config = Suite<G>::ConfigFor(VerifyBackendKind::kPerProof);
+  SecureRng rng("backend-factory-partition");
+  std::vector<ClientUploadMsg<G>> uploads;
+  for (size_t i = 0; i < 12; ++i) {
+    uploads.push_back(MakeClientBundle<G>(0, i, config, ped, rng).upload);
+  }
+  auto shards = [&](VerifyBackendKind kind, const ProtocolConfig& c) {
+    return MakeVerifyBackend<G>(kind, c, ped)->VerifyAll(uploads).num_shards;
+  };
+
+  EXPECT_EQ(shards(VerifyBackendKind::kPerProof, config), 1u);
+  ProtocolConfig batch_only = config;
+  batch_only.batch_verify = true;
+  ASSERT_EQ(SelectVerifyBackend(batch_only), VerifyBackendKind::kSharded);
+  EXPECT_EQ(shards(VerifyBackendKind::kSharded, batch_only), 1u);
+  config.num_verify_shards = 5;
+  EXPECT_EQ(shards(VerifyBackendKind::kPerProof, config), 1u);
+  EXPECT_EQ(shards(VerifyBackendKind::kSharded, config), 5u);
+
+  net::LoopbackFleet fleet(2);
+  ASSERT_EQ(fleet.servers().size(), 2u);
+  ProtocolConfig remote = config;
+  fleet.ApplyTo(&remote);
+  EXPECT_EQ(shards(VerifyBackendKind::kRemote, remote), 5u);
+  remote.num_verify_shards = 1;
+  EXPECT_EQ(shards(VerifyBackendKind::kRemote, remote), 4u);  // 2 x endpoints
+  ProtocolConfig workers = config;
+  workers.num_verify_shards = 1;
+  workers.verify_workers = 3;
+  EXPECT_EQ(shards(VerifyBackendKind::kRemote, workers), 6u);  // 2 x spawned servers
 }
 
 TEST(BackendFactoryTest, NamesRoundTripThroughRegistry) {

@@ -12,7 +12,6 @@
 
 #include "src/core/audit.h"
 #include "src/verify/factory.h"
-#include "src/verify/remote_backend.h"
 
 namespace vdp {
 namespace {
@@ -192,18 +191,18 @@ TYPED_TEST(BisectBlameTest, SpawnedFleetMatchesOracle) {
     ProtocolConfig config = ConfigFor(bins);
     config.num_verify_shards = 2;
     config.verify_workers = 2;
-    RemoteBackend<G> fleet(config, this->ped_);
+    auto fleet = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, this->ped_);
     for (const Scenario& scenario : Scenarios()) {
       if (scenario.bins != bins) {
         continue;
       }
       SCOPED_TRACE(scenario.name);
       const auto uploads = Uploads(MakeBundles(config, this->ped_, scenario));
-      const VerifyReport<G> report = fleet.VerifyAll(uploads);
+      const VerifyReport<G> report = fleet->VerifyAll(uploads);
       ExpectSameDecisions(Oracle(config, this->ped_, uploads), report);
-      EXPECT_EQ(fleet.last_fleet_report().shards_from_remote,
-                fleet.last_fleet_report().shards_total);
-      EXPECT_TRUE(fleet.last_fleet_report().failures.empty());
+      EXPECT_EQ(fleet->last_fleet_report().shards_from_remote,
+                fleet->last_fleet_report().shards_total);
+      EXPECT_TRUE(fleet->last_fleet_report().failures.empty());
     }
   }
 }

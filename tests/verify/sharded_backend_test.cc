@@ -1,4 +1,4 @@
-// The in-process sharded backend (src/verify/sharded_backend.h over the
+// The in-process sharded backend (src/verify/factory.h over the
 // src/shard/ pipeline): the combined verdict must be bit-identical to the
 // monolithic PublicVerifier path -- accepted set, rejection reasons, and
 // Eq. 10 commitment products -- and blame attribution must stay confined to
@@ -172,10 +172,11 @@ TEST(ShardedBackendTest, StreamingMatchesOneShot) {
   uploads[29].sum_randomness += S::One();  // breaks the one-hot opening
 
   ThreadPool pool(3);
-  auto streaming = Sharded(config, ped);
+  ProtocolConfig stream_config = config;
+  stream_config.stream_shard_capacity = 8;
+  stream_config.stream_max_inflight_shards = 2;
+  auto streaming = Sharded(stream_config, ped);
   VerifyOptions stream_options = WithPool(&pool);
-  stream_options.stream_shard_capacity = 8;
-  stream_options.stream_max_inflight_shards = 2;
   streaming->Start(stream_options);
   for (const auto& u : uploads) {
     streaming->Add(u);
@@ -242,6 +243,7 @@ TEST(ShardedBackendTest, BatchVerifyAloneIsOneWholeStreamShard) {
   auto oracle = MakeVerifyBackend<G>(per_proof_config, ped)->VerifyAll(uploads);
 
   ThreadPool pool(2);
+  config.stream_shard_capacity = 16;  // the streaming run below
   auto backend = MakeVerifyBackend<G>(config, ped);
   auto oneshot = backend->VerifyAll(uploads, WithPool(&pool));
   EXPECT_EQ(oneshot.backend, "sharded");
@@ -251,7 +253,6 @@ TEST(ShardedBackendTest, BatchVerifyAloneIsOneWholeStreamShard) {
   EXPECT_EQ(oneshot.rejections, oracle.rejections);
 
   VerifyOptions options = WithPool(&pool);
-  options.stream_shard_capacity = 16;
   backend->Start(options);
   for (const auto& u : uploads) {
     backend->Add(u);

@@ -6,12 +6,12 @@
 //       stitched span tree (driver + worker/server spans share one trace id,
 //       so a fleet run prints as a single tree).
 //
-//   metrics_report --compare <baseline> <run.jsonl> [--threshold <pct>]
-//       The CI trend job. The baseline is either another run-log or one of
-//       the committed BENCH_*.json files (the legacy bench format: a
-//       "results" array of {scenario, backend|mode, elapsed_ms} rows).
-//       Exit 2 on any schema violation or unreadable input -- a run-log
-//       that stops validating is a build regression, not a perf question.
+//   metrics_report --compare <baseline.jsonl> <run.jsonl> [--threshold <pct>]
+//       The CI trend job. The baseline is another run-log, such as the
+//       committed BENCH_*.jsonl files; rows pair up by scenario/backend.
+//       Exit 2 on any schema violation or unreadable input, in either file
+//       -- a run-log that stops validating is a build regression, not a
+//       perf question.
 //       Rows slower than baseline by more than the threshold (default 25%)
 //       print a WARN line; --strict turns those into exit 1.
 //
@@ -23,7 +23,6 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -297,62 +296,17 @@ int Render(const std::vector<std::string>& paths) {
 // A comparable row: scenario/backend key -> wall milliseconds.
 using TimingTable = std::map<std::string, double>;
 
-std::string RowKey(const JsonValue& row) {
-  std::string key = row.StringOr("scenario", "?");
-  key += "/";
-  if (const JsonValue* backend = row.Find("backend");
-      backend != nullptr && backend->is_string()) {
-    key += backend->as_string();
-  } else {
-    // Legacy remote_verify rows: {mode, fleet}.
-    key += row.StringOr("mode", "?");
-    if (const JsonValue* fleet = row.Find("fleet"); fleet != nullptr && fleet->is_number()) {
-      key += ":" + std::to_string(static_cast<int>(fleet->as_number()));
-    }
-  }
-  return key;
-}
-
-double RowMs(const JsonValue& row) {
-  if (const JsonValue* total = row.Find("total_ms"); total != nullptr && total->is_number()) {
-    return total->as_number();
-  }
-  return row.NumberOr("elapsed_ms", 0);
-}
-
-// Loads either format into a timing table: a run-log (stages lines) or a
-// legacy BENCH_*.json (one object with a "results" array).
-bool LoadTimings(const std::string& path, bool must_validate, TimingTable* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  // Whole-file parse first: the legacy bench files are one pretty-printed
-  // JSON document, which is never valid JSONL.
-  if (auto whole = ParseJson(text); whole.has_value() && whole->is_object()) {
-    if (const JsonValue* results = whole->Find("results");
-        results != nullptr && results->is_array()) {
-      for (const JsonValue& row : results->items()) {
-        if (row.is_object()) {
-          (*out)[RowKey(row)] = RowMs(row);
-        }
-      }
-      return true;
-    }
-  }
-
+// Loads the stages lines of a run-log, which must validate.
+bool LoadTimings(const std::string& path, TimingTable* out) {
   std::vector<ParsedLine> lines;
-  if (!LoadRunLog(path, &lines) && must_validate) {
+  if (!LoadRunLog(path, &lines)) {
     return false;
   }
   for (const ParsedLine& line : lines) {
     if (Kind(line) == "stages") {
-      (*out)[RowKey(line.value)] = RowMs(line.value);
+      const JsonValue& v = line.value;
+      (*out)[v.StringOr("scenario", "?") + "/" + v.StringOr("backend", "?")] =
+          v.NumberOr("total_ms", 0);
     }
   }
   return true;
@@ -362,14 +316,11 @@ int Compare(const std::string& baseline_path, const std::string& current_path,
             double threshold_pct, bool strict) {
   TimingTable baseline;
   TimingTable current;
-  // The current run-log must validate (schema violations are exit 2); the
-  // baseline may be a legacy bench file, which has no schema to enforce.
-  if (!LoadTimings(baseline_path, /*must_validate=*/false, &baseline) ||
-      !LoadTimings(current_path, /*must_validate=*/true, &current)) {
-    return 2;
+  if (!LoadTimings(baseline_path, &baseline) || !LoadTimings(current_path, &current)) {
+    return 2;  // unreadable or a schema violation
   }
   if (current.empty()) {
-    std::fprintf(stderr, "error: %s has no stages/results rows to compare\n",
+    std::fprintf(stderr, "error: %s has no stages rows to compare\n",
                  current_path.c_str());
     return 2;
   }
@@ -411,7 +362,7 @@ int Compare(const std::string& baseline_path, const std::string& current_path,
 int Usage() {
   std::fprintf(stderr,
                "usage: metrics_report <run.jsonl> [more.jsonl ...]\n"
-               "       metrics_report --compare <baseline.json|.jsonl> <run.jsonl>\n"
+               "       metrics_report --compare <baseline.jsonl> <run.jsonl>\n"
                "                      [--threshold <pct>] [--strict]\n");
   return 2;
 }
