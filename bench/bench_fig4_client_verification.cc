@@ -16,6 +16,7 @@
 // BENCH_sharded_verify.json.
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "src/baseline/prio_sketch.h"
 #include "src/common/timer.h"
@@ -206,6 +207,7 @@ void WriteShardedJson(const std::vector<ShardPoint>& points) {
   const ShardPoint& headline = points.back();
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"sharded_verify\",\n");
+  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"group\": \"%s\",\n", G::Name().c_str());
   std::fprintf(f, "  \"pipeline\": \"shard -> RLC batch (MSM) -> combine\",\n");
   std::fprintf(f, "  \"results\": [\n");
@@ -239,6 +241,7 @@ void WriteBatchJson(const std::vector<BatchPoint>& points) {
   const BatchPoint& headline = points.back();
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"batch_verify\",\n");
+  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"group\": \"%s\",\n", G::Name().c_str());
   std::fprintf(f, "  \"proof_system\": \"sigma-or\",\n");
   std::fprintf(f, "  \"results\": [\n");

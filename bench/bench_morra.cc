@@ -27,8 +27,10 @@ void BM_PedersenMorra(benchmark::State& state) {
     std::vector<std::unique_ptr<vdp::MorraParty<G>>> owned;
     std::vector<vdp::MorraParty<G>*> parties;
     for (size_t i = 0; i < num_parties; ++i) {
-      owned.push_back(
-          std::make_unique<vdp::MorraParty<G>>(vdp::SecureRng("m" + std::to_string(i))));
+      // append(), not "m" + std::to_string(i): GCC 12 at -O3 warns -Wrestrict
+      // (a false positive) on operator+(const char*, std::string&&).
+      owned.push_back(std::make_unique<vdp::MorraParty<G>>(
+          vdp::SecureRng(std::string("m").append(std::to_string(i)))));
       parties.push_back(owned.back().get());
     }
     state.ResumeTiming();
@@ -53,8 +55,8 @@ void BM_SeedMorra(benchmark::State& state) {
     state.PauseTiming();
     std::vector<vdp::SeedMorraParty> parties;
     for (size_t i = 0; i < num_parties; ++i) {
-      parties.push_back(
-          vdp::SeedMorraParty{vdp::SecureRng("s" + std::to_string(i)), false, false});
+      parties.push_back(vdp::SeedMorraParty{
+          vdp::SecureRng(std::string("s").append(std::to_string(i))), false, false});
     }
     state.ResumeTiming();
     auto outcome = vdp::RunSeedMorra(parties, num_coins);

@@ -59,11 +59,21 @@ std::optional<uint64_t> Reader::U64() {
 }
 
 std::optional<Bytes> Reader::Blob() {
-  auto len = U32();
-  if (!len.has_value()) {
+  auto view = BlobView();
+  if (!view.has_value()) {
     return std::nullopt;
   }
-  return Raw(*len);
+  return Bytes(view->begin(), view->end());
+}
+
+std::optional<BytesView> Reader::BlobView() {
+  auto len = U32();
+  if (!len.has_value() || remaining() < *len) {
+    return std::nullopt;
+  }
+  BytesView out = data_.subspan(pos_, *len);
+  pos_ += *len;
+  return out;
 }
 
 std::optional<uint32_t> Reader::Count(size_t min_entry_bytes) {

@@ -39,6 +39,9 @@ class Reader {
   std::optional<uint32_t> U32();
   std::optional<uint64_t> U64();
   std::optional<Bytes> Blob();
+  // The same blob without a copy: a view into the input, valid as long as
+  // the input is.
+  std::optional<BytesView> BlobView();
   std::optional<Bytes> Raw(size_t len);
   // A u32 entry count, rejected unless the remaining bytes could hold that
   // many entries of at least min_entry_bytes each. Parsers read every

@@ -1,8 +1,8 @@
 #include "src/common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
-#include <memory>
 
 namespace vdp {
 
@@ -27,41 +27,68 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock, [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        return;  // shutting down
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
-  }
-}
+// One ParallelFor call, shared by the calling thread and its queued shards.
+struct ThreadPool::Batch {
+  Batch(size_t count, size_t shards, const std::function<void(size_t)>& fn)
+      : count(count), shards(shards), fn(fn) {}
 
-namespace {
-
-// Shared between the calling thread and every queued shard. Heap-allocated and
-// owned jointly (shared_ptr) so a queued task can never observe a destroyed
-// stack frame, no matter how the calling thread unwinds.
-struct ParallelForControl {
   std::atomic<size_t> next{0};
   std::atomic<bool> abort{false};
-  size_t count = 0;
-  size_t shards = 0;
-  std::function<void(size_t)> fn;  // owned copy; outlives the caller's argument
+  const size_t count;
+  const size_t shards;
+  const std::function<void(size_t)>& fn;  // the caller's; it outlives every shard
 
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  size_t done_shards = 0;               // guarded by done_mutex
-  std::exception_ptr first_error;       // guarded by done_mutex
+  size_t done_shards = 0;          // guarded by done_mutex
+  std::exception_ptr first_error;  // guarded by done_mutex
 };
 
-}  // namespace
+void ThreadPool::WorkerLoop() {
+  for (;;) {
+    Batch* batch = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_available_.wait(lock, [this] { return shutting_down_ || head_ < tasks_.size(); });
+      if (head_ == tasks_.size()) {
+        return;  // shutting down
+      }
+      batch = tasks_[head_++];
+      if (head_ == tasks_.size()) {
+        tasks_.clear();
+        head_ = 0;
+      }
+    }
+    RunShard(batch);
+  }
+}
+
+void ThreadPool::RunShard(Batch* batch) {
+  for (;;) {
+    if (batch->abort.load(std::memory_order_relaxed)) {
+      break;
+    }
+    size_t i = batch->next.fetch_add(1);
+    if (i >= batch->count) {
+      break;
+    }
+    try {
+      batch->fn(i);
+    } catch (...) {
+      batch->abort.store(true, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(batch->done_mutex);
+      if (!batch->first_error) {
+        batch->first_error = std::current_exception();
+      }
+    }
+  }
+  // The last touch of *batch: once this shard is counted, the caller may
+  // return and destroy it.
+  std::lock_guard<std::mutex> lock(batch->done_mutex);
+  if (++batch->done_shards == batch->shards) {
+    batch->done_cv.notify_all();
+  }
+}
 
 void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn) {
   if (count == 0) {
@@ -75,49 +102,24 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
     return;
   }
 
-  auto ctl = std::make_shared<ParallelForControl>();
-  ctl->count = count;
-  ctl->shards = shards;
-  ctl->fn = fn;
-
-  auto shard_body = [ctl] {
-    for (;;) {
-      if (ctl->abort.load(std::memory_order_relaxed)) {
-        break;
-      }
-      size_t i = ctl->next.fetch_add(1);
-      if (i >= ctl->count) {
-        break;
-      }
-      try {
-        ctl->fn(i);
-      } catch (...) {
-        ctl->abort.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(ctl->done_mutex);
-        if (!ctl->first_error) {
-          ctl->first_error = std::current_exception();
-        }
-      }
-    }
-    std::lock_guard<std::mutex> lock(ctl->done_mutex);
-    if (++ctl->done_shards == ctl->shards) {
-      ctl->done_cv.notify_all();
-    }
-  };
-
+  Batch batch(count, shards, fn);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t s = 0; s + 1 < shards; ++s) {
-      tasks_.push(shard_body);
-    }
+    // Reclaim the taken prefix first, so a queue that never drains (callers
+    // on several threads keeping it busy) does not grow without bound.
+    tasks_.erase(tasks_.begin(), tasks_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+    // All or nothing: if growing the queue throws, no shard references
+    // `batch` and the exception leaves this frame cleanly.
+    tasks_.insert(tasks_.end(), shards - 1, &batch);
   }
   work_available_.notify_all();
-  shard_body();  // The calling thread participates as the final shard.
+  RunShard(&batch);  // The calling thread participates as the final shard.
 
-  std::unique_lock<std::mutex> lock(ctl->done_mutex);
-  ctl->done_cv.wait(lock, [&] { return ctl->done_shards == ctl->shards; });
-  if (ctl->first_error) {
-    std::rethrow_exception(ctl->first_error);
+  std::unique_lock<std::mutex> lock(batch.done_mutex);
+  batch.done_cv.wait(lock, [&] { return batch.done_shards == batch.shards; });
+  if (batch.first_error) {
+    std::rethrow_exception(batch.first_error);
   }
 }
 

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -29,15 +28,28 @@ class ThreadPool {
   // Exception-safe: if any iteration throws, remaining iterations are skipped
   // (already-started ones run to completion), the call still blocks until all
   // shards have drained, and the first exception is rethrown on the calling
-  // thread. Shared state lives in a heap-allocated control block co-owned by
-  // the queued tasks, so no queued shard can dangle into the caller's stack.
+  // thread. The call's shared state lives on the caller's stack: the caller
+  // returns only after every queued shard has signalled, and a shard's last
+  // touch of that state is that signal, under its done mutex. So workers
+  // never allocate or free. Under glibc this matters for memory: a thread
+  // that frees takes a per-thread arena, and a pool that starts late in a
+  // process would take over the arenas (and their retained pages) that
+  // exited threads left for the next new thread, which then touches fresh
+  // pages instead.
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
 
  private:
+  struct Batch;
+
   void WorkerLoop();
+  static void RunShard(Batch* batch);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  // Queued shards, one entry each, taken in FIFO order from head_. Only
+  // callers' threads grow the vector, after erasing the taken prefix; a
+  // worker that takes the last entry clears it, keeping its capacity.
+  std::vector<Batch*> tasks_;
+  size_t head_ = 0;
   std::mutex mutex_;
   std::condition_variable work_available_;
   bool shutting_down_ = false;

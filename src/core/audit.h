@@ -43,42 +43,52 @@ Bytes SerializeTranscript(const PublicTranscript<G>& t) {
   return w.Take();
 }
 
-// Every count in the transcript is attacker-chosen; each is read through
-// Reader::Count with the smallest encoding of one entry, so the parser never
-// allocates or loops beyond what the input bytes could actually describe.
+namespace audit_internal {
+
+// DeserializeTranscript with the element decode on `pool` (inline when
+// null). Two passes: framing on the calling thread reads every count
+// through Reader::Count with the smallest strict encoding of one entry -- so
+// the containers it sizes stay within a small multiple of the input --
+// decodes the scalars, sizes every container and collects each element's
+// blob and slot; then one ElementBlobs::Decode decodes the uploads' elements
+// and every coin's (c, a0, a1) into those slots. The transcript parses
+// exactly when each element would have decoded one at a time.
 template <PrimeOrderGroup G>
-std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data) {
-  constexpr size_t kMinProverBytes = 4 + Reader::kMinBlobBytes;  // bins + output
-  constexpr size_t kMinBinBytes = 4;                              // nb
-  constexpr size_t kMinCoinBytes = 2 * Reader::kMinBlobBytes + 1;  // c, proof, bit
+std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data, ThreadPool* pool) {
+  constexpr size_t kMinUploadBytes = Reader::kMinBlobBytes + ClientUploadMsg<G>::kMinEncodedBytes;
+  constexpr size_t kMinProverBytes =  // bins, output
+      4 + Reader::kMinBlobBytes + ProverOutputMsg<G>::kMinEncodedBytes;
+  constexpr size_t kMinBinBytes = 4;  // nb
+  constexpr size_t kMinCoinBytes =    // c, proof, bit
+      kElementBlobBytes<G> + Reader::kMinBlobBytes + OrProof<G>::kMinEncodedBytes + 1;
   Reader r(data);
   PublicTranscript<G> t;
-  auto n = r.Count(Reader::kMinBlobBytes);
+  ElementBlobs<G> elements;
+  auto n = r.Count(kMinUploadBytes);
   if (!n) {
     return std::nullopt;
   }
-  for (uint32_t i = 0; i < *n; ++i) {
-    auto blob = r.Blob();
-    if (!blob) {
+  t.client_uploads.resize(*n);
+  for (auto& upload : t.client_uploads) {
+    auto blob = r.BlobView();
+    if (!blob || !upload.Frame(*blob, &elements)) {
       return std::nullopt;
     }
-    auto upload = ClientUploadMsg<G>::Deserialize(*blob);
-    if (!upload) {
-      return std::nullopt;
-    }
-    t.client_uploads.push_back(std::move(*upload));
   }
   auto k = r.Count(kMinProverBytes);
   if (!k) {
     return std::nullopt;
   }
+  t.prover_coins.resize(*k);
+  t.public_bits.resize(*k);
+  t.prover_outputs.resize(*k);
   for (uint32_t p = 0; p < *k; ++p) {
     auto bins = r.Count(kMinBinBytes);
     if (!bins) {
       return std::nullopt;
     }
-    ProverCoinsMsg<G> coins;
-    std::vector<std::vector<bool>> bits;
+    ProverCoinsMsg<G>& coins = t.prover_coins[p];
+    std::vector<std::vector<bool>>& bits = t.public_bits[p];
     coins.coin_commitments.resize(*bins);
     coins.coin_proofs.resize(*bins);
     bits.resize(*bins);
@@ -87,24 +97,24 @@ std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data) {
       if (!nb) {
         return std::nullopt;
       }
+      coins.coin_commitments[bin].resize(*nb);
+      coins.coin_proofs[bin].resize(*nb);
+      bits[bin].resize(*nb);
       for (uint32_t j = 0; j < *nb; ++j) {
-        auto cblob = r.Blob();
-        auto pblob = r.Blob();
+        auto cblob = r.BlobView();
+        auto pblob = r.BlobView();
         auto bit = r.U8();
         if (!cblob || !pblob || !bit || *bit > 1) {
           return std::nullopt;
         }
-        auto c = G::Decode(*cblob);
-        auto proof = OrProof<G>::Deserialize(*pblob);
-        if (!c || !proof) {
+        elements.Add(*cblob, &coins.coin_commitments[bin][j]);
+        if (!coins.coin_proofs[bin][j].Frame(*pblob, &elements)) {
           return std::nullopt;
         }
-        coins.coin_commitments[bin].push_back(*c);
-        coins.coin_proofs[bin].push_back(*proof);
-        bits[bin].push_back(*bit == 1);
+        bits[bin][j] = *bit == 1;
       }
     }
-    auto oblob = r.Blob();
+    auto oblob = r.BlobView();
     if (!oblob) {
       return std::nullopt;
     }
@@ -112,14 +122,22 @@ std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data) {
     if (!output) {
       return std::nullopt;
     }
-    t.prover_coins.push_back(std::move(coins));
-    t.public_bits.push_back(std::move(bits));
-    t.prover_outputs.push_back(std::move(*output));
+    t.prover_outputs[p] = std::move(*output);
   }
-  if (!r.AtEnd()) {
+  if (!r.AtEnd() || !elements.Decode(pool)) {
     return std::nullopt;
   }
   return t;
+}
+
+}  // namespace audit_internal
+
+// Parses a published transcript, decoding its group elements on
+// GlobalPool() (see ElementBlobs::Decode: not from inside a GlobalPool
+// task).
+template <PrimeOrderGroup G>
+std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data) {
+  return audit_internal::DeserializeTranscript<G>(data, &GlobalPool());
 }
 
 struct AuditReport {

@@ -34,14 +34,16 @@ struct ClientShareMsg {
 
   static std::optional<ClientShareMsg> Deserialize(BytesView data) {
     Reader r(data);
-    auto count = r.U32();
+    auto count = r.Count(2 * kScalarBlobBytes<G>);
     if (!count) {
       return std::nullopt;
     }
     ClientShareMsg msg;
+    msg.values.resize(*count);
+    msg.randomness.resize(*count);
     for (uint32_t m = 0; m < *count; ++m) {
-      auto vb = r.Blob();
-      auto rb = r.Blob();
+      auto vb = r.BlobView();
+      auto rb = r.BlobView();
       if (!vb || !rb) {
         return std::nullopt;
       }
@@ -50,8 +52,8 @@ struct ClientShareMsg {
       if (!v || !rr) {
         return std::nullopt;
       }
-      msg.values.push_back(*v);
-      msg.randomness.push_back(*rr);
+      msg.values[m] = *v;
+      msg.randomness[m] = *rr;
     }
     if (!r.AtEnd()) {
       return std::nullopt;
@@ -111,58 +113,67 @@ struct ClientUploadMsg {
     return w.Take();
   }
 
+  // The shortest encoding that Deserialize accepts: k = m = 0, no proofs,
+  // the sum randomness.
+  static constexpr size_t kMinEncodedBytes = 3 * 4 + kScalarBlobBytes<G>;
+
   static std::optional<ClientUploadMsg> Deserialize(BytesView data) {
+    ClientUploadMsg msg;
+    ElementBlobs<G> elements;
+    if (!msg.Frame(data, &elements) || !elements.Decode(/*pool=*/nullptr)) {
+      return std::nullopt;
+    }
+    return msg;
+  }
+
+  // The framing pass of Deserialize, for parsers that decode many uploads'
+  // elements on a pool (DeserializeTranscript, wire::UploadsFromWire):
+  // checks the layout, decodes the sum randomness, sizes every container of
+  // *this and adds each element's blob and slot to `elements` in
+  // AppendElements order. `data` must outlive the decode.
+  bool Frame(BytesView data, ElementBlobs<G>* elements) {
     Reader r(data);
     auto k = r.U32();
     auto m = r.U32();
-    // Bound the [k][m] commitment matrix by the bytes left (one blob per
-    // entry) before allocating its rows. Rows without columns would cost no
+    // Bound the [k][m] commitment matrix by the bytes left (one element blob
+    // per entry) before allocating it. Rows without columns would cost no
     // bytes at all, so that shape -- never produced for a valid config,
     // which has at least one bin -- is rejected outright.
     if (!k || !m || (*m == 0 && *k != 0) ||
-        uint64_t{*k} * *m > r.remaining() / Reader::kMinBlobBytes) {
-      return std::nullopt;
+        uint64_t{*k} * *m > r.remaining() / kElementBlobBytes<G>) {
+      return false;
     }
-    ClientUploadMsg msg;
-    msg.commitments.resize(*k);
-    for (uint32_t i = 0; i < *k; ++i) {
-      for (uint32_t j = 0; j < *m; ++j) {
-        auto blob = r.Blob();
+    commitments.assign(*k, std::vector<typename G::Element>(*m));
+    for (auto& row : commitments) {
+      for (auto& slot : row) {
+        auto blob = r.BlobView();
         if (!blob) {
-          return std::nullopt;
+          return false;
         }
-        auto e = G::Decode(*blob);
-        if (!e) {
-          return std::nullopt;
-        }
-        msg.commitments[i].push_back(*e);
+        elements->Add(*blob, &slot);
       }
     }
-    auto proof_count = r.Count(Reader::kMinBlobBytes);
+    auto proof_count = r.Count(Reader::kMinBlobBytes + OrProof<G>::kMinEncodedBytes);
     if (!proof_count) {
-      return std::nullopt;
+      return false;
     }
-    for (uint32_t i = 0; i < *proof_count; ++i) {
-      auto blob = r.Blob();
-      if (!blob) {
-        return std::nullopt;
+    bin_proofs.assign(*proof_count, OrProof<G>{});
+    for (auto& proof : bin_proofs) {
+      auto blob = r.BlobView();
+      if (!blob || !proof.Frame(*blob, elements)) {
+        return false;
       }
-      auto p = OrProof<G>::Deserialize(*blob);
-      if (!p) {
-        return std::nullopt;
-      }
-      msg.bin_proofs.push_back(*p);
     }
-    auto sum_blob = r.Blob();
+    auto sum_blob = r.BlobView();
     if (!sum_blob) {
-      return std::nullopt;
+      return false;
     }
     auto sum = G::Scalar::Decode(*sum_blob);
     if (!sum || !r.AtEnd()) {
-      return std::nullopt;
+      return false;
     }
-    msg.sum_randomness = *sum;
-    return msg;
+    sum_randomness = *sum;
+    return true;
   }
 };
 
@@ -220,16 +231,21 @@ struct ProverOutputMsg {
     return w.Take();
   }
 
+  // The shortest encoding that Deserialize accepts: a zero count.
+  static constexpr size_t kMinEncodedBytes = 4;
+
   static std::optional<ProverOutputMsg> Deserialize(BytesView data) {
     Reader r(data);
-    auto count = r.U32();
+    auto count = r.Count(2 * kScalarBlobBytes<G>);
     if (!count) {
       return std::nullopt;
     }
     ProverOutputMsg msg;
+    msg.y.resize(*count);
+    msg.z.resize(*count);
     for (uint32_t m = 0; m < *count; ++m) {
-      auto yb = r.Blob();
-      auto zb = r.Blob();
+      auto yb = r.BlobView();
+      auto zb = r.BlobView();
       if (!yb || !zb) {
         return std::nullopt;
       }
@@ -238,8 +254,8 @@ struct ProverOutputMsg {
       if (!y || !z) {
         return std::nullopt;
       }
-      msg.y.push_back(*y);
-      msg.z.push_back(*z);
+      msg.y[m] = *y;
+      msg.z[m] = *z;
     }
     if (!r.AtEnd()) {
       return std::nullopt;

@@ -1,5 +1,8 @@
 #include "src/group/ed25519.h"
 
+#include <algorithm>
+#include <array>
+
 #include "src/math/batch_inverse.h"
 
 namespace vdp {
@@ -301,7 +304,10 @@ std::optional<GePoint> Ed25519Group::Decompress(BytesView bytes) {
   if (bytes.size() != kElementSize) {
     return std::nullopt;
   }
-  Bytes y_bytes(bytes.begin(), bytes.end());
+  // On the stack: bulk decodes run this on pool workers, which must not
+  // allocate (see ElementBlobs::Decode in src/group/group.h).
+  std::array<uint8_t, kElementSize> y_bytes{};
+  std::copy(bytes.begin(), bytes.end(), y_bytes.begin());
   bool sign = (y_bytes[31] & 0x80) != 0;
   y_bytes[31] &= 0x7f;
   auto y = Fe25519::FromBytes(y_bytes);

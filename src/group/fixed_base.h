@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/group/accel.h"
@@ -130,12 +131,15 @@ class FixedBaseTable {
 
   // Per-generator shared table cache. Keyed by the generator's canonical
   // encoding; thread-safe; capped so adversarially many generators cannot
-  // balloon the process (extra generators get uncached fresh tables).
+  // balloon the process (extra generators get uncached fresh tables). The
+  // key is a std::string: GCC 12 at -O3 warns -Wstringop-overread inside
+  // std::vector<uint8_t>'s operator<=>, which a Bytes key would compare with.
   static std::shared_ptr<const FixedBaseTable> Shared(const Element& base) {
     static std::mutex mu;
-    static std::map<Bytes, std::shared_ptr<const FixedBaseTable>>* cache =
-        new std::map<Bytes, std::shared_ptr<const FixedBaseTable>>();
-    Bytes key = G::Encode(base);
+    static std::map<std::string, std::shared_ptr<const FixedBaseTable>>* cache =
+        new std::map<std::string, std::shared_ptr<const FixedBaseTable>>();
+    const Bytes encoded = G::Encode(base);
+    std::string key(encoded.begin(), encoded.end());
     {
       std::lock_guard<std::mutex> lock(mu);
       auto it = cache->find(key);

@@ -9,6 +9,7 @@
 #ifndef SRC_GROUP_GROUP_H_
 #define SRC_GROUP_GROUP_H_
 
+#include <atomic>
 #include <concepts>
 #include <optional>
 #include <string>
@@ -16,6 +17,8 @@
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/common/serialize.h"
+#include "src/common/thread_pool.h"
 #include "src/group/ed25519.h"
 #include "src/group/modp_group.h"
 #include "src/group/schnorr_group.h"
@@ -100,6 +103,63 @@ std::vector<Bytes> EncodeAll(const std::vector<typename G::Element>& es) {
     return out;
   }
 }
+
+// The shortest blobs (u32 length, then the bytes) that strict decoding
+// accepts for an element and for a scalar. Parsers cap attacker-chosen
+// counts with them (Reader::Count): a count whose entries could not fit in
+// the bytes left fails to parse anyway, and rejecting it first keeps every
+// container sized from a count within a small multiple of the input.
+template <PrimeOrderGroup G>
+inline constexpr size_t kElementBlobBytes = Reader::kMinBlobBytes + G::kElementSize;
+template <PrimeOrderGroup G>
+inline constexpr size_t kScalarBlobBytes = Reader::kMinBlobBytes + G::Scalar::kEncodedSize;
+
+// The element blobs a framing pass collected, each with the slot its element
+// decodes into, in the order they were added. The bulk parsers
+// (src/core/messages.h) frame their input on the calling thread and then
+// decode every element of it with one Decode call.
+template <PrimeOrderGroup G>
+class ElementBlobs {
+ public:
+  // `blob` must outlive the decode; `slot` must be an element that already
+  // exists, for the decode only overwrites it.
+  void Add(BytesView blob, typename G::Element* slot) {
+    blobs_.push_back(blob);
+    slots_.push_back(slot);
+  }
+  size_t size() const { return blobs_.size(); }
+
+  // Strictly decodes (G::Decode, subgroup check included) entries [from, to)
+  // into their slots, on `pool` when there is one and inline otherwise, and
+  // reports whether every one decoded. Workers only overwrite fixed-size
+  // slots, so nothing is allocated off the calling thread. After a failure
+  // the slots hold unspecified elements.
+  //
+  // Never call this from inside a task running on `pool` -- in particular,
+  // never with GlobalPool() from a GlobalPool task: ParallelFor from one of
+  // the pool's own workers waits for shards queued behind it and can
+  // deadlock.
+  bool Decode(size_t from, size_t to, ThreadPool* pool) const {
+    std::atomic<bool> ok{true};
+    ForEachIndex(pool, to - from, [&](size_t i) {
+      if (!ok.load(std::memory_order_relaxed)) {
+        return;  // the answer is already no
+      }
+      auto e = G::Decode(blobs_[from + i]);
+      if (e.has_value()) {
+        *slots_[from + i] = *e;
+      } else {
+        ok.store(false, std::memory_order_relaxed);
+      }
+    });
+    return ok.load(std::memory_order_relaxed);
+  }
+  bool Decode(ThreadPool* pool) const { return Decode(0, size(), pool); }
+
+ private:
+  std::vector<BytesView> blobs_;
+  std::vector<typename G::Element*> slots_;
+};
 
 }  // namespace vdp
 

@@ -58,26 +58,47 @@ struct OrProof {
   }
 
   static std::optional<OrProof> Deserialize(BytesView data) {
+    OrProof proof;
+    ElementBlobs<G> elements;
+    if (!proof.Frame(data, &elements) || !elements.Decode(/*pool=*/nullptr)) {
+      return std::nullopt;
+    }
+    return proof;
+  }
+
+  // The shortest encoding that Deserialize accepts: two element blobs and
+  // four scalar blobs.
+  static constexpr size_t kMinEncodedBytes = 2 * kElementBlobBytes<G> + 4 * kScalarBlobBytes<G>;
+
+  // The framing pass of Deserialize, for parsers that decode many proofs'
+  // elements in one batch: checks the layout, decodes the four scalars and
+  // adds the blobs of a0 and a1, with their slots in *this, to `elements`.
+  // `data` must outlive the decode.
+  bool Frame(BytesView data, ElementBlobs<G>* elements) {
     Reader r(data);
-    auto a0b = r.Blob();
-    auto a1b = r.Blob();
-    auto e0b = r.Blob();
-    auto e1b = r.Blob();
-    auto z0b = r.Blob();
-    auto z1b = r.Blob();
+    auto a0b = r.BlobView();
+    auto a1b = r.BlobView();
+    auto e0b = r.BlobView();
+    auto e1b = r.BlobView();
+    auto z0b = r.BlobView();
+    auto z1b = r.BlobView();
     if (!a0b || !a1b || !e0b || !e1b || !z0b || !z1b || !r.AtEnd()) {
-      return std::nullopt;
+      return false;
     }
-    auto a0 = G::Decode(*a0b);
-    auto a1 = G::Decode(*a1b);
-    auto e0 = G::Scalar::Decode(*e0b);
-    auto e1 = G::Scalar::Decode(*e1b);
-    auto z0 = G::Scalar::Decode(*z0b);
-    auto z1 = G::Scalar::Decode(*z1b);
-    if (!a0 || !a1 || !e0 || !e1 || !z0 || !z1) {
-      return std::nullopt;
+    auto e0s = G::Scalar::Decode(*e0b);
+    auto e1s = G::Scalar::Decode(*e1b);
+    auto z0s = G::Scalar::Decode(*z0b);
+    auto z1s = G::Scalar::Decode(*z1b);
+    if (!e0s || !e1s || !z0s || !z1s) {
+      return false;
     }
-    return OrProof{*a0, *a1, *e0, *e1, *z0, *z1};
+    e0 = *e0s;
+    e1 = *e1s;
+    z0 = *z0s;
+    z1 = *z1s;
+    elements->Add(*a0b, &a0);
+    elements->Add(*a1b, &a1);
+    return true;
   }
 };
 

@@ -90,20 +90,49 @@ WireShardTask MakeShardTask(const Sha256::Digest& params_digest, size_t shard_in
   return task;
 }
 
-// Decodes a task's uploads. A malformed upload is NOT an error at this
-// layer: the verifier's structural pass is the protocol's arbiter of bad
-// uploads, so undecodable bytes map to an upload that fails that pass
-// (empty ClientUploadMsg), keeping the rejection reason schedule identical
-// to the in-process path, which never sees wire bytes at all.
+namespace convert_internal {
+
+// UploadsFromWire with the element decode on `pool` (inline when null):
+// every upload is framed on the calling thread, then each upload that framed
+// has its element range decoded, one upload per pool index. Uploads that
+// fail either pass are emptied only afterwards, so no slot dangles.
 template <PrimeOrderGroup G>
-std::vector<ClientUploadMsg<G>> UploadsFromWire(const WireShardTask& task) {
-  std::vector<ClientUploadMsg<G>> uploads;
-  uploads.reserve(task.uploads.size());
-  for (const Bytes& bytes : task.uploads) {
-    auto upload = ClientUploadMsg<G>::Deserialize(bytes);
-    uploads.push_back(upload.has_value() ? std::move(*upload) : ClientUploadMsg<G>{});
+std::vector<ClientUploadMsg<G>> UploadsFromWire(const WireShardTask& task, ThreadPool* pool) {
+  const size_t n = task.uploads.size();
+  std::vector<ClientUploadMsg<G>> uploads(n);
+  ElementBlobs<G> elements;
+  std::vector<size_t> starts(n + 1);  // upload i's elements: [starts[i], starts[i + 1])
+  std::vector<uint8_t> bad(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    starts[i] = elements.size();
+    bad[i] = uploads[i].Frame(task.uploads[i], &elements) ? 0 : 1;
+  }
+  starts[n] = elements.size();
+  ForEachIndex(pool, n, [&](size_t i) {
+    if (bad[i] == 0 && !elements.Decode(starts[i], starts[i + 1], /*pool=*/nullptr)) {
+      bad[i] = 1;
+    }
+  });
+  for (size_t i = 0; i < n; ++i) {
+    if (bad[i] != 0) {
+      uploads[i] = ClientUploadMsg<G>{};
+    }
   }
   return uploads;
+}
+
+}  // namespace convert_internal
+
+// Decodes a task's uploads, their elements on GlobalPool() (see
+// ElementBlobs::Decode: not from inside a GlobalPool task). A malformed
+// upload is NOT an error at this layer: the verifier's structural pass is
+// the protocol's arbiter of bad uploads, so undecodable bytes map to an
+// upload that fails that pass (empty ClientUploadMsg), keeping the rejection
+// reason schedule identical to the in-process path, which never sees wire
+// bytes at all.
+template <PrimeOrderGroup G>
+std::vector<ClientUploadMsg<G>> UploadsFromWire(const WireShardTask& task) {
+  return convert_internal::UploadsFromWire<G>(task, &GlobalPool());
 }
 
 template <PrimeOrderGroup G>

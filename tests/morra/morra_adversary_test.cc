@@ -32,7 +32,10 @@ TEST(MorraAdversaryTest, EquivocationDetectedInAnyPosition) {
       if (i == pos) {
         owned.push_back(std::make_unique<EquivocatingMorraParty<G>>(SecureRng("e")));
       } else {
-        owned.push_back(std::make_unique<MorraParty<G>>(SecureRng("h" + std::to_string(i))));
+        // append(), not "h" + std::to_string(i): GCC 12 at -O3 warns -Wrestrict
+        // (a false positive) on operator+(const char*, std::string&&).
+        owned.push_back(std::make_unique<MorraParty<G>>(
+            SecureRng(std::string("h").append(std::to_string(i)))));
       }
     }
     std::vector<MorraParty<G>*> parties;
@@ -237,7 +240,8 @@ TEST(MorraAdversaryTest, EquivocatorInEachPositionWithAndWithoutPool) {
         if (i == pos) {
           owned.push_back(std::make_unique<EquivocatingMorraParty<G>>(SecureRng("e")));
         } else {
-          owned.push_back(std::make_unique<MorraParty<G>>(SecureRng("h" + std::to_string(i))));
+          owned.push_back(std::make_unique<MorraParty<G>>(
+              SecureRng(std::string("h").append(std::to_string(i)))));
         }
       }
       std::vector<MorraParty<G>*> parties;
