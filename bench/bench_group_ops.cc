@@ -3,10 +3,13 @@
 // comb fixed-base Exp (the Pedersen/verifier path), wNAF and Pippenger MSM
 // per-term cost, plain group Mul, (batch) encoding, strict Decode of a member
 // encoding (the public auditor's per-element cost), the field square root
-// inside that decode, the client's OR proof per secret bit, and the wide
-// reduction behind every Fiat-Shamir challenge. One table makes the comb and
-// kernel speedups visible per group, and the committed BENCH_group_ops.json
-// baseline plus the CI artifact keep them trended.
+// inside that decode, the client's OR proof per secret bit, one OR proof's
+// Fiat-Shamir challenge (OrChallenge), and the wide reduction behind every
+// challenge. Top-level fields give SHA-256 throughput and the block function
+// this CPU selected (sha-ni or portable), so an artifact names the path it
+// measured. One table makes the comb and kernel speedups visible per group,
+// and the committed BENCH_group_ops.json baseline plus the CI artifact keep
+// them trended.
 //
 // Usage: bench_group_ops [out.json]   (default BENCH_group_ops.json)
 #include <cstdio>
@@ -17,6 +20,7 @@
 
 #include "src/batch/msm.h"
 #include "src/commit/pedersen.h"
+#include "src/common/sha256.h"
 #include "src/common/timer.h"
 #include "src/group/fixed_base.h"
 #include "src/group/registry.h"
@@ -53,8 +57,24 @@ struct GroupRow {
   double decode_us = 0;        // strict Decode (range + subgroup) of a member
   double sqrt_us = -1;         // field square root in Decode; < 0: none
   double or_prove_us[2] = {0, 0};  // OrProve of a bit-0 / bit-1 commitment
+  double or_challenge_us = 0;      // OrChallenge from encoded (c, a0, a1)
   double scalar_wide_us = 0;       // FromBytesWide of a 32-byte digest
 };
+
+// SHA-256 throughput over a 1 MiB buffer, hashed whole. Prints it with a
+// byte of every digest folded together, so the hashing stays live.
+double Sha256MbPerSecond(const char* impl) {
+  const vdp::Bytes data(1 << 20, 0x5a);
+  const int reps = 32;
+  uint8_t fold = 0;
+  vdp::Stopwatch timer;
+  for (int i = 0; i < reps; ++i) {
+    fold = static_cast<uint8_t>(fold ^ vdp::Sha256::Hash(data)[0]);
+  }
+  const double mb_s = reps * (data.size() / 1e6) / (timer.ElapsedMillis() / 1000.0);
+  std::printf("sha256: %s, %.1f MB/s (digest fold %02x)\n", impl, mb_s, fold);
+  return mb_s;
+}
 
 template <vdp::PrimeOrderGroup G>
 GroupRow Measure() {
@@ -178,6 +198,19 @@ GroupRow Measure() {
     row.or_prove_us[bit] = timer.ElapsedMillis() * 1000.0 / reps;
   }
 
+  // One challenge as the batch verifier derives it: encoded first messages
+  // and a per-proof context.
+  const auto c = ped.Commit(S::One(), S::Random(rng));
+  const auto enc = vdp::EncodeAll<G>({c, G::Exp(gen, S::Random(rng)), G::Exp(gen, S::Random(rng))});
+  const std::string context = "bench/client/1234/bin/7";
+  const size_t challenge_reps = reps * 10;
+  auto challenge_sink = S::Zero();
+  timer.Reset();
+  for (size_t i = 0; i < challenge_reps; ++i) {
+    challenge_sink += vdp::OrChallenge(ped, enc[0], enc[1], enc[2], context);
+  }
+  row.or_challenge_us = timer.ElapsedMillis() * 1000.0 / challenge_reps;
+
   const size_t wide_reps = reps * 20;
   const vdp::Bytes digest = rng.RandomBytes(32);
   auto wide_sink = S::Zero();
@@ -189,7 +222,7 @@ GroupRow Measure() {
 
   // Keep the accumulators alive so nothing is optimized away.
   if (G::Encode(sink).empty() || enc_bytes == 0 || decoded == 0 || proved == 0 ||
-      wide_sink.Encode().empty()) {
+      wide_sink.Encode().empty() || challenge_sink.Encode().empty()) {
     std::fprintf(stderr, "impossible: empty encoding\n");
   }
   return row;
@@ -200,21 +233,25 @@ GroupRow Measure() {
 int main(int argc, char** argv) {
   const std::string out = argc > 1 ? argv[1] : "BENCH_group_ops.json";
   std::vector<GroupRow> rows;
+  const char* sha256_impl = vdp::sha256_internal::HasShaNi() ? "sha-ni" : "portable";
+  const double sha256_mb_s = Sha256MbPerSecond(sha256_impl);
   vdp::ForEachRegisteredGroup([&](auto tag) {
     using G = typename decltype(tag)::Group;
     std::printf("measuring %s...\n", G::Name().c_str());
     rows.push_back(Measure<G>());
   });
 
-  std::printf("\n%-18s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s %10s %10s %10s\n",
+  std::printf("\n%-18s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
               "group", "bits", "exp(us)", "comb(us)", "wnaf/t(us)", "pip/t(us)", "mul(us)",
-              "enc(us)", "encB(us)", "dec(us)", "or0(us)", "or1(us)", "wide(us)", "sqrt(us)");
+              "enc(us)", "encB(us)", "dec(us)", "or0(us)", "or1(us)", "orFS(us)", "wide(us)",
+              "sqrt(us)");
   for (const auto& r : rows) {
     std::printf("%-18s %6zu %12.2f %12.2f %12.2f %12.2f %10.3f %10.3f %10.3f %10.2f ",
                 r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us,
                 r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us, r.mul_us, r.encode_us,
                 r.encode_batch_us, r.decode_us);
-    std::printf("%10.2f %10.2f %10.3f ", r.or_prove_us[0], r.or_prove_us[1], r.scalar_wide_us);
+    std::printf("%10.2f %10.2f %10.3f %10.3f ", r.or_prove_us[0], r.or_prove_us[1],
+                r.or_challenge_us, r.scalar_wide_us);
     if (r.sqrt_us < 0) {
       std::printf("%10s\n", "-");
     } else {
@@ -229,8 +266,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"group_ops\",\n  \"hardware_concurrency\": %u,\n"
+               "  \"sha256_impl\": \"%s\",\n  \"sha256_mb_s\": %.1f,\n"
                "  \"results\": [\n",
-               std::thread::hardware_concurrency());
+               std::thread::hardware_concurrency(), sha256_impl, sha256_mb_s);
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     char sqrt_buf[32];
@@ -242,11 +280,12 @@ int main(int argc, char** argv) {
                  "\"msm_wnaf_per_term_us\": %.3f, \"msm_pippenger_per_term_us\": %.3f, "
                  "\"mul_us\": %.4f, \"encode_us\": %.4f, \"encode_batch_us\": %.4f, "
                  "\"decode_us\": %.3f, \"sqrt_us\": %s, \"or_prove_bit0_us\": %.3f, "
-                 "\"or_prove_bit1_us\": %.3f, \"scalar_wide_us\": %.4f}%s\n",
+                 "\"or_prove_bit1_us\": %.3f, \"or_challenge_us\": %.3f, "
+                 "\"scalar_wide_us\": %.4f}%s\n",
                  r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us,
                  r.table_build_ms, r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us,
                  r.mul_us, r.encode_us, r.encode_batch_us, r.decode_us, sqrt_json.c_str(),
-                 r.or_prove_us[0], r.or_prove_us[1], r.scalar_wide_us,
+                 r.or_prove_us[0], r.or_prove_us[1], r.or_challenge_us, r.scalar_wide_us,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -226,9 +226,13 @@ class OrBatch {
     });
     CombinerBinder binder("vdp/batch-or", n);
     for (size_t i = 0; i < n; ++i) {
-      binder.Add(ToBytes(instances_[i].context));
+      const BytesView a0 = enc[3 * i + 1];
+      const BytesView a1 = enc[3 * i + 2];
+      binder.Add(StrView(instances_[i].context));
       binder.Add(enc[3 * i]);
-      binder.Add(instances_[i].proof.Serialize(enc[3 * i + 1], enc[3 * i + 2]));
+      binder.AddPieces(OrProof<G>::SerializedSize(a0.size(), a1.size()), [&](auto sink) {
+        instances_[i].proof.SerializeTo(a0, a1, sink);
+      });
     }
     return binder.Fork();
   }

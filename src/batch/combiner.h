@@ -33,12 +33,17 @@ class CombinerBinder {
       : domain_(std::move(domain)), count_(count) {}
 
   void Add(BytesView entry) {
-    uint8_t len[8];
-    for (size_t i = 0; i < 8; ++i) {
-      len[i] = static_cast<uint8_t>(static_cast<uint64_t>(entry.size()) >> (56 - 8 * i));
-    }
-    entries_.Update(BytesView(len, sizeof(len)));
+    AddLength(entry.size());
     entries_.Update(entry);
+  }
+
+  // Adds an entry of `size` bytes without joining it: write(sink) must pass
+  // exactly those bytes, in order, to sink(BytesView). The digest is that of
+  // Add over the joined bytes.
+  template <typename Write>
+  void AddPieces(uint64_t size, Write&& write) {
+    AddLength(size);
+    write([this](BytesView piece) { entries_.Update(piece); });
   }
 
   // The combiner generator; the binder must not be used afterwards.
@@ -55,6 +60,14 @@ class CombinerBinder {
   }
 
  private:
+  void AddLength(uint64_t size) {
+    uint8_t len[8];
+    for (size_t i = 0; i < 8; ++i) {
+      len[i] = static_cast<uint8_t>(size >> (56 - 8 * i));
+    }
+    entries_.Update(BytesView(len, sizeof(len)));
+  }
+
   std::string domain_;
   uint64_t count_;
   Sha256 entries_;
@@ -66,8 +79,9 @@ class CombinerBinder {
 template <typename S>
 S SampleCombiner(SecureRng& rng) {
   for (;;) {
-    Bytes bytes = rng.RandomBytes(16);
-    S s = S::FromBytesWide(BytesView(bytes.data(), bytes.size()));
+    uint8_t bytes[16];
+    rng.FillBytes(bytes, sizeof(bytes));
+    S s = S::FromBytesWide(BytesView(bytes, sizeof(bytes)));
     if (!s.IsZero()) {
       return s;
     }

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vdp {
@@ -37,8 +38,8 @@ inline Bytes ToBytes(const std::string& s) {
   return Bytes(s.begin(), s.end());
 }
 
-inline BytesView StrView(const char* s) {
-  return BytesView(reinterpret_cast<const uint8_t*>(s), std::strlen(s));
+inline BytesView StrView(std::string_view s) {
+  return BytesView(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
 // Overwrites a secret buffer before it is released. The volatile pointer stops

@@ -23,7 +23,7 @@ SecureRng::SecureRng(const Seed& seed) : stream_(MakeStream(seed)), seed_(seed) 
 
 SecureRng::SecureRng(const std::string& label)
     : SecureRng([&label] {
-        Sha256::Digest d = Sha256::TaggedHash(StrView("vdp/rng-label"), ToBytes(label));
+        Sha256::Digest d = Sha256::TaggedHash(StrView("vdp/rng-label"), StrView(label));
         Seed s;
         std::memcpy(s.data(), d.data(), s.size());
         return s;
@@ -96,7 +96,7 @@ bool SecureRng::NextBit() {
   return bit;
 }
 
-SecureRng SecureRng::Fork(const std::string& label) {
+SecureRng SecureRng::Fork(std::string_view label) {
   Sha256 h;
   h.Update(StrView("vdp/rng-fork"));
   h.Update(BytesView(seed_.data(), seed_.size()));
@@ -105,7 +105,7 @@ SecureRng SecureRng::Fork(const std::string& label) {
   uint8_t fresh[32];
   FillBytes(fresh, sizeof(fresh));
   h.Update(BytesView(fresh, sizeof(fresh)));
-  h.Update(ToBytes(label));
+  h.Update(StrView(label));
   Sha256::Digest d = h.Finalize();
   Seed child;
   std::memcpy(child.data(), d.data(), child.size());

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/common/bytes.h"
 #include "src/common/chacha20.h"
@@ -38,7 +39,7 @@ class SecureRng {
 
   // Derives an independent child generator; children with distinct labels
   // produce independent streams (used to hand each party its own RNG).
-  SecureRng Fork(const std::string& label);
+  SecureRng Fork(std::string_view label);
 
  private:
   void Refill();

@@ -7,9 +7,8 @@ void Writer::U8(uint8_t v) {
 }
 
 void Writer::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  const std::array<uint8_t, 4> bytes = EncodeU32(v);
+  out_.insert(out_.end(), bytes.begin(), bytes.end());
 }
 
 void Writer::U64(uint64_t v) {

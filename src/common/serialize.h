@@ -3,6 +3,7 @@
 #ifndef SRC_COMMON_SERIALIZE_H_
 #define SRC_COMMON_SERIALIZE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -10,6 +11,12 @@
 #include "src/common/bytes.h"
 
 namespace vdp {
+
+// The u32 little-endian encoding Writer::U32 appends.
+inline std::array<uint8_t, 4> EncodeU32(uint32_t v) {
+  return {static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8), static_cast<uint8_t>(v >> 16),
+          static_cast<uint8_t>(v >> 24)};
+}
 
 class Writer {
  public:

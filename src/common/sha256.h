@@ -1,5 +1,11 @@
-// FIPS 180-4 SHA-256. Used for Fiat-Shamir transcripts, hash commitments, and
-// hash-to-group derivation. Streaming interface plus one-shot helpers.
+// FIPS 180-4 SHA-256. Used for Fiat-Shamir transcripts, hash commitments,
+// hash-to-group derivation and HMAC. Streaming interface plus one-shot helpers.
+//
+// The block function is chosen once per process from CPUID: the x86 SHA
+// extensions (SHA-NI) when the CPU reports them, the portable C++ rounds
+// otherwise. Both produce identical digests; the portable one is also the
+// oracle the differential test checks SHA-NI against. Non-x86 builds compile
+// only the portable one.
 #ifndef SRC_COMMON_SHA256_H_
 #define SRC_COMMON_SHA256_H_
 
@@ -13,7 +19,9 @@ namespace vdp {
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
+  static constexpr size_t kBlockSize = 64;
   using Digest = std::array<uint8_t, kDigestSize>;
+  using State = std::array<uint32_t, 8>;
 
   Sha256();
 
@@ -25,13 +33,28 @@ class Sha256 {
   static Digest TaggedHash(BytesView tag, BytesView data);
 
  private:
-  void Compress(const uint8_t block[64]);
-
-  std::array<uint32_t, 8> state_;
+  State state_;
   uint64_t total_bytes_ = 0;
-  std::array<uint8_t, 64> buffer_{};
+  std::array<uint8_t, kBlockSize> buffer_{};
   size_t buffered_ = 0;
 };
+
+// The block functions behind Sha256, for the differential test and the
+// group-ops bench. Each compresses `blocks` consecutive 64-byte blocks of
+// `data` into `state`.
+namespace sha256_internal {
+
+void CompressPortable(Sha256::State& state, const uint8_t* data, size_t blocks);
+
+// True iff the CPU reports the SHA extensions and SSE4.1, so CompressShaNi
+// may run; Sha256 then uses it. Always false off x86-64.
+bool HasShaNi();
+
+#if defined(__x86_64__)
+void CompressShaNi(Sha256::State& state, const uint8_t* data, size_t blocks);
+#endif
+
+}  // namespace sha256_internal
 
 }  // namespace vdp
 

@@ -48,13 +48,30 @@ struct OrProof {
   // encode many proofs in one batch).
   Bytes Serialize(BytesView a0_encoded, BytesView a1_encoded) const {
     Writer w;
-    w.Blob(a0_encoded);
-    w.Blob(a1_encoded);
-    w.Blob(e0.Encode());
-    w.Blob(e1.Encode());
-    w.Blob(z0.Encode());
-    w.Blob(z1.Encode());
+    SerializeTo(a0_encoded, a1_encoded, [&w](BytesView piece) { w.Raw(piece); });
     return w.Take();
+  }
+
+  // The same bytes in pieces, for callers that hash them without building
+  // them: sink(piece) receives SerializedSize(|a0_encoded|, |a1_encoded|)
+  // bytes in order -- six blobs, each a u32 length and its contents.
+  template <typename Sink>
+  void SerializeTo(BytesView a0_encoded, BytesView a1_encoded, Sink&& sink) const {
+    const auto blob = [&sink](BytesView field) {
+      const std::array<uint8_t, 4> len = EncodeU32(static_cast<uint32_t>(field.size()));
+      sink(BytesView(len.data(), len.size()));
+      sink(field);
+    };
+    blob(a0_encoded);
+    blob(a1_encoded);
+    blob(e0.Encode());
+    blob(e1.Encode());
+    blob(z0.Encode());
+    blob(z1.Encode());
+  }
+
+  static constexpr size_t SerializedSize(size_t a0_size, size_t a1_size) {
+    return 6 * Reader::kMinBlobBytes + a0_size + a1_size + 4 * G::Scalar::kEncodedSize;
   }
 
   static std::optional<OrProof> Deserialize(BytesView data) {
@@ -110,7 +127,7 @@ template <PrimeOrderGroup G>
 typename G::Scalar OrChallenge(const Pedersen<G>& ped, BytesView c, BytesView a0, BytesView a1,
                                const std::string& context) {
   Transcript t("vdp/or-proof");
-  t.Append("context", ToBytes(context));
+  t.Append("context", StrView(context));
   t.Append("g", ped.encoded_g());
   t.Append("h", ped.encoded_h());
   t.Append("c", c);

@@ -60,6 +60,40 @@ TEST(BatchOrVerifyTest, PoolMatchesSerial) {
   EXPECT_TRUE(BatchOrVerify(ped, instances, &pool));
 }
 
+// The combiner transcript streams each proof's encoding in pieces; its
+// digest must be the one of the joined Serialize bytes, so the combiners do
+// not change.
+TEST(CombinerBinderTest, StreamedProofsBindLikeTheirSerializedBytes) {
+  Pedersen<G> ped;
+  SecureRng rng("combiner-pieces");
+  const auto instances = MakeValidOrBatch(ped, 5, rng);
+  CombinerBinder joined("test/binder", instances.size());
+  CombinerBinder streamed("test/binder", instances.size());
+  for (const auto& inst : instances) {
+    const auto enc = EncodeAll<G>({inst.proof.a0, inst.proof.a1});
+    const Bytes bytes = inst.proof.Serialize(enc[0], enc[1]);
+    ASSERT_EQ(OrProof<G>::SerializedSize(enc[0].size(), enc[1].size()), bytes.size());
+    joined.Add(bytes);
+    streamed.AddPieces(bytes.size(),
+                       [&](auto sink) { inst.proof.SerializeTo(enc[0], enc[1], sink); });
+  }
+  SecureRng a = joined.Fork();
+  SecureRng b = streamed.Fork();
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(a.NextU64(), b.NextU64());
+  }
+}
+
+// SampleCombiner reads the same 16 stream bytes per draw as RandomBytes(16).
+TEST(CombinerBinderTest, SampleCombinerReadsSixteenStreamBytes) {
+  SecureRng a("combiner-sample");
+  SecureRng b("combiner-sample");
+  for (int i = 0; i < 64; ++i) {
+    const Bytes bytes = b.RandomBytes(16);
+    EXPECT_EQ(SampleCombiner<S>(a), S::FromBytesWide(bytes));
+  }
+}
+
 // The headline soundness test: 1,000 valid proofs with exactly one corrupted
 // transcript must be rejected, for every corruption mode, and the verdict
 // must agree with the per-proof oracle.

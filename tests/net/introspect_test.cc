@@ -67,10 +67,9 @@ TEST(IntrospectTest, StatsReplyIsSchemaStampedAndRoundTrips) {
   EXPECT_EQ(parsed->StringOr("schema", ""), kStatsSchema);
   auto snapshot = SnapshotFromJson(*parsed);
   ASSERT_TRUE(snapshot.has_value());
-  // The server's own admin counter is visible in its dump: the probe this
-  // test ran a moment ago (via FetchStats -> 0 probes, but stats_served is
-  // at least this request once the server wrote the reply... the counter
-  // increments after the write, so assert on a second fetch).
+  // The server's own admin counter is visible in its dump. The server counts
+  // a stats request before it snapshots the registry, so a later fetch, even
+  // on a new connection, sees at least the first request.
   StatsResult second =
       FetchStats(*endpoint, BytesView(key.data(), key.size()), 5000, false);
   ASSERT_TRUE(second.ok) << second.error;

@@ -205,6 +205,9 @@ void ServeAdmin(net::AuthChannel* channel, wire::Frame first, FaultMode fault) {
         SendError(channel, "malformed health probe");
         return;
       }
+      // Counted before the reply goes out, so a client that has read the
+      // reply sees its own request in any later stats dump.
+      obs::GlobalCounter(obs::kAdminProbesServed)->Increment();
       wire::WireHealthReply reply;
       reply.nonce = probe->nonce;
       reply.server_id = g_state.server_id;
@@ -226,13 +229,14 @@ void ServeAdmin(net::AuthChannel* channel, wire::Frame first, FaultMode fault) {
           wire::WriteStatus::kOk) {
         return;
       }
-      obs::GlobalCounter(obs::kAdminProbesServed)->Increment();
     } else if (frame.type == wire::FrameType::kStatsRequest) {
       auto request = wire::WireStatsRequest::Deserialize(frame.payload);
       if (!request.has_value()) {
         SendError(channel, "malformed stats request");
         return;
       }
+      // Counted before the snapshot, so the dump includes this request.
+      obs::GlobalCounter(obs::kAdminStatsServed)->Increment();
       wire::WireStatsReply reply;
       reply.server_id = g_state.server_id;
       reply.stats_json = net::StatsToJson(
@@ -242,7 +246,6 @@ void ServeAdmin(net::AuthChannel* channel, wire::Frame first, FaultMode fault) {
           wire::WriteStatus::kOk) {
         return;
       }
-      obs::GlobalCounter(obs::kAdminStatsServed)->Increment();
     } else {
       SendError(channel, "unexpected frame type on admin session");
       return;
