@@ -1,8 +1,8 @@
 // Multi-scalar multiplication (MSM): computes prod_i bases[i]^scalars[i] over
 // any PrimeOrderGroup, far faster than folding independent exponentiations.
 //
-// This is the engine of the batch-verification subsystem: random-linear-
-// combination batch verifiers (batch_schnorr.h, batch_or_proof.h) reduce N
+// This is the engine of the batch-verification subsystem: the random-
+// linear-combination batch verifier (batch_or_proof.h) reduces N
 // sigma-protocol checks to a couple of MSMs. Three algorithms:
 //   - MsmNaive: fold of G::Exp, the correctness oracle for tests,
 //   - windowed-NAF Straus (small batches): a shared double-and-add chain over

@@ -104,6 +104,16 @@ double WelchT(const std::vector<double>& a, const std::vector<double>& b);
 TimingAuditResult RunTimingAudit(const std::function<void(bool adversarial)>& op,
                                  const TimingAuditOptions& options = {});
 
+// One check audited up to `max_attempts` times (at least once); returns the
+// t statistic that decides it. `attempt` runs one audit and returns its t.
+// Every check keeps the attempt with the smallest |t|: a real leak
+// reproduces on every attempt, while a scheduler burst that fakes one does
+// not. A check that must not leak stops at its first clean attempt
+// (|t| <= threshold); a positive control (`want_leak`) stops at its first
+// leaking one, so it must leak on every attempt it runs.
+double RetryTimingAudit(const std::function<double()>& attempt, int max_attempts,
+                        bool want_leak, double threshold = 10.0);
+
 }  // namespace vdp
 
 #endif  // SRC_COMMON_CT_CHECK_H_

@@ -165,9 +165,10 @@ AuditReport AuditTranscript(const PublicTranscript<G>& t, const ProtocolConfig& 
 
   // The auditor re-checks client uploads through whichever VerifyBackend the
   // config selects (src/verify/factory.h) -- the same pipeline the live run
-  // used. The report's commitment products double as the client half of the
-  // Eq. 10 check below: the audit path has no private share-consistency
-  // filter, so they always cover exactly the accepted set.
+  // used. The report's commitment products (always present: products are
+  // requested, and the combiner fills all K x M) double as the client half
+  // of the Eq. 10 check below: the audit path has no private
+  // share-consistency filter, so they always cover exactly the accepted set.
   VerifyReport<G> validation = verifier.ValidateClientsReport(t.client_uploads, pool);
   report.accepted_clients = validation.accepted;
 
@@ -199,14 +200,8 @@ AuditReport AuditTranscript(const PublicTranscript<G>& t, const ProtocolConfig& 
                                        "audit: coin proof invalid");
       return report;
     }
-    bool final_ok = validation.has_products()
-                        ? verifier.CheckFinalWithProducts(validation.commitment_products[k],
-                                                          t.prover_coins[k], t.public_bits[k],
-                                                          t.prover_outputs[k])
-                        : verifier.CheckFinal(k, t.client_uploads, report.accepted_clients,
-                                              t.prover_coins[k], t.public_bits[k],
-                                              t.prover_outputs[k]);
-    if (!final_ok) {
+    if (!verifier.CheckFinalWithProducts(validation.commitment_products[k], t.prover_coins[k],
+                                         t.public_bits[k], t.prover_outputs[k])) {
       report.verdict =
           Verdict::Reject(VerdictCode::kFinalCheckFailed, k, "audit: Eq. 10 failed");
       return report;

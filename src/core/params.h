@@ -67,16 +67,6 @@ struct ProtocolConfig {
   // false.
   size_t num_verify_shards = 1;
 
-  // Farm shard verification out to this many local verify_server processes:
-  // when remote_verifiers is empty, the remote backend
-  // (src/net/remote_fleet.h) spawns them on loopback under a fresh
-  // fleet secret and drives them exactly like a remote fleet -- blamed
-  // retries and in-process recovery included, so the verdict never depends
-  // on fleet health. 0 (the default) keeps verification in process; 1 is
-  // rejected as ambiguous. The one-shot shard partition honors
-  // num_verify_shards when > 1, else defaults to two shards per server.
-  size_t verify_workers = 0;
-
   // Farm shard verification out to remote verify_server daemons over
   // authenticated sockets (src/net/): endpoints in the textual form
   // "tcp:host:port" or "unix:/path". Non-empty selects the remote backend
@@ -129,11 +119,6 @@ struct ProtocolConfig {
     if (num_verify_shards == 0) {
       return ConfigError{"num_verify_shards",
                          "0 shards is meaningless; use 1 for the unsharded path"};
-    }
-    if (verify_workers == 1) {
-      return ConfigError{"verify_workers",
-                         "1 is ambiguous (a single worker has in-process semantics); "
-                         "use 0 for in-process verification or >= 2 workers"};
     }
     for (const std::string& spec : remote_verifiers) {
       if (!net::ParseEndpoint(spec).has_value()) {

@@ -7,12 +7,10 @@
 // Topology: the streaming dispatcher (src/shard/stream_dispatch.h) runs one
 // lane per configured endpoint, each owning one persistent connection to its
 // verifier; shards flow to lanes as the dispatcher seals them, so remote
-// machines verify while the driver is still ingesting. The fleet comes from
-// ProtocolConfig::remote_verifiers, or -- when that list is empty --
-// ProtocolConfig::verify_workers = N is sugar for a local fleet: the
-// executor spawns and owns N loopback verify_servers under a fresh fleet
-// secret (net::LoopbackFleet), and they go down with it. Failure handling is
-// strictly per-shard:
+// machines verify while the driver is still ingesting. The fleet is
+// ProtocolConfig::remote_verifiers; the executor starts no servers of its
+// own (tests and benches stand one up with net::LoopbackFleet). Failure
+// handling is strictly per-shard:
 //
 //   - A connection that fails mid-shard (dropped, timed out, bad MAC, result
 //     mismatch) is closed with blame recorded (which endpoint, which shard,
@@ -20,9 +18,9 @@
 //   - Connecting itself retries (connect_attempts, backoff) so a verifier
 //     that is restarting -- killed and brought back by its supervisor -- is
 //     re-adopted instead of written off on the first ECONNREFUSED.
-//   - A shard whose remote attempts are exhausted -- or that has no endpoint
-//     to go to at all -- is verified *in process*, so a dead fleet degrades
-//     to the in-process sharded path instead of losing shards.
+//   - A shard whose remote attempts are exhausted is verified *in process*,
+//     so a dead fleet degrades to the in-process sharded path instead of
+//     losing shards.
 //
 // Either way every shard yields exactly one ShardResult and the combined
 // verdict is bit-identical to the in-process path; fleet trouble only shows
@@ -33,8 +31,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -45,7 +43,6 @@
 #include "src/common/timer.h"
 #include "src/net/health.h"
 #include "src/net/remote_conn.h"
-#include "src/net/server_process.h"
 #include "src/net/socket.h"
 #include "src/shard/shard_result.h"
 #include "src/shard/stream_dispatch.h"
@@ -88,26 +85,24 @@ struct RemoteFleetOptions {
   net::HealthRegistry* health = nullptr;
 };
 
-// Farms shards to the fleet named by config.remote_verifiers (or spawned
-// for config.verify_workers), authenticated with config.remote_auth_key_hex.
-// The config must have passed Validate().
+// Farms shards to the fleet named by config.remote_verifiers, authenticated
+// with config.remote_auth_key_hex. The config must have passed Validate();
+// an empty or unparseable endpoint list throws std::invalid_argument.
 template <PrimeOrderGroup G>
 class RemoteVerifierFleet final : public ShardExecutor<G> {
  public:
   RemoteVerifierFleet(const ProtocolConfig& config, Pedersen<G> ped,
                       RemoteFleetOptions options = {})
       : config_(config), ped_(std::move(ped)), options_(std::move(options)) {
-    if (config_.remote_verifiers.empty() && config_.verify_workers > 1) {
-      // Servers that fail to spawn leave the fleet short; with none at all
-      // every shard is recovered in process.
-      local_fleet_ = std::make_unique<net::LoopbackFleet>(config_.verify_workers);
-      local_fleet_->ApplyTo(&config_);
-    }
     for (const std::string& spec : config_.remote_verifiers) {
       auto endpoint = net::ParseEndpoint(spec);
-      if (endpoint.has_value()) {  // Validate() guarantees this; belt and braces
-        endpoints_.push_back(*endpoint);
+      if (!endpoint.has_value()) {
+        throw std::invalid_argument("remote_verifiers: bad endpoint '" + spec + "'");
       }
+      endpoints_.push_back(*endpoint);
+    }
+    if (endpoints_.empty()) {
+      throw std::invalid_argument("the remote backend needs remote_verifiers endpoints");
     }
     if (auto key = HexDecode(config_.remote_auth_key_hex); key.has_value()) {
       auth_key_ = std::move(*key);
@@ -115,7 +110,7 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     wire::WireSetup setup = wire::MakeWireSetup(config_, ped_);
     setup_payload_ = setup.Serialize();
     params_digest_ = setup.Digest();
-    lanes_.resize(std::max<size_t>(1, endpoints_.size()));
+    lanes_.resize(endpoints_.size());
   }
 
   ~RemoteVerifierFleet() override {
@@ -149,24 +144,15 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     }
     // One dispatch span covers every attempt at this shard; the server's own
     // spans parent under it via the task's trace extension.
-    const std::string endpoint_name =
-        endpoints_.empty() ? "" : net::FormatEndpoint(endpoints_[lane_index]);
+    const std::string endpoint_name = net::FormatEndpoint(endpoints_[lane_index]);
     obs::TraceSpan dispatch_span(this->tracer_, "dispatch", this->verify_ctx_);
     dispatch_span.set_detail("shard=" + std::to_string(shard.shard_index) +
-                             (endpoint_name.empty() ? "" : " endpoint=" + endpoint_name));
+                             " endpoint=" + endpoint_name);
     ShardResult<G> result;
-    bool done = false;
-    if (endpoints_.empty()) {
-      // Nobody to farm out to -- a verify_workers fleet whose servers all
-      // failed to spawn. Blamed, then recovered like an exhausted shard.
-      RecordFailure(shard.shard_index, "", "no remote endpoints");
-    } else {
-      done = FarmOut(&lanes_[lane_index], endpoints_[lane_index], endpoint_name, shard,
-                     &dispatch_span, &result);
-    }
-    if (!done) {
-      // Skipped, retries exhausted, or no endpoint: verify locally so the
-      // shard -- and the combined verdict -- is never lost to a dead fleet.
+    if (!FarmOut(&lanes_[lane_index], endpoints_[lane_index], endpoint_name, shard,
+                 &dispatch_span, &result)) {
+      // Skipped or retries exhausted: verify locally so the shard -- and
+      // the combined verdict -- is never lost to a dead fleet.
       result = VerifyShard(config_, ped_, shard.data(), shard.count(), shard.base,
                            shard.shard_index, nullptr, shard.compute_products, this->tracer_,
                            dispatch_span.context());
@@ -185,18 +171,10 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
 
   // Fleet health of the current (or last finished) stream: blamed
   // failures, shards served remotely vs recovered in process, connections
-  // and reconnects.
+  // and reconnects. BeginStream resets it.
   RemoteFleetReport Report() const {
     std::lock_guard<std::mutex> lock(report_mutex_);
     return report_;
-  }
-
-  // Same, and resets it.
-  RemoteFleetReport TakeReport() {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    RemoteFleetReport out = std::move(report_);
-    report_ = RemoteFleetReport{};
-    return out;
   }
 
  private:
@@ -389,9 +367,6 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     report_.failures.push_back(RemoteFailure{shard, endpoint, std::move(reason)});
   }
 
-  // The verify_workers fleet, null otherwise. Declared first so the servers
-  // go down last, after every lane connection has closed.
-  std::unique_ptr<net::LoopbackFleet> local_fleet_;
   ProtocolConfig config_;
   Pedersen<G> ped_;
   RemoteFleetOptions options_;

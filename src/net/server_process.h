@@ -1,10 +1,9 @@
 // Local verify_server process plumbing: spawn a daemon on a loopback
 // endpoint, discover the port it bound, and tear it down without leaking
-// fds or zombies. This is how ProtocolConfig::verify_workers stands up its
-// local fleet (src/net/remote_fleet.h), and how tests, benches, and
-// the VDP_REMOTE_VERIFIERS CI hook stand up a real socket fleet inside one
-// box; production fleets run verify_server under their own supervisor (see
-// README "Deploying remote verifiers").
+// fds or zombies. This is how tests, benches, and the VDP_REMOTE_VERIFIERS
+// CI hook stand up a real socket fleet inside one box; production fleets
+// run verify_server under their own supervisor (see README "Deploying
+// remote verifiers").
 #ifndef SRC_NET_SERVER_PROCESS_H_
 #define SRC_NET_SERVER_PROCESS_H_
 
@@ -89,8 +88,8 @@ class LoopbackFleet {
 // the servers go down with us, clean exit or not).
 const LoopbackFleet& SharedLoopbackFleet(size_t n);
 
-// CI/test hook, the remote sibling of VDP_NUM_VERIFY_SHARDS and
-// VDP_VERIFY_WORKERS: when $VDP_REMOTE_VERIFIERS is
+// CI/test hook, the remote sibling of VDP_NUM_VERIFY_SHARDS: when
+// $VDP_REMOTE_VERIFIERS is
 //   - "spawn:<n>": stands up (once per process) a shared n-server loopback
 //     fleet and points the config at it;
 //   - a comma-separated endpoint list: uses those endpoints with

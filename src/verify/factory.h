@@ -1,15 +1,15 @@
 // The backend factory/registry: the ONLY place that maps ProtocolConfig
 // flags to a verification execution strategy.
 //
-// `batch_verify`, `num_verify_shards`, `verify_workers`, and
-// `remote_verifiers` are config-surface only: SelectVerifyBackend is the
-// whole selection policy, and PublicVerifier, RunProtocol, and
-// AuditTranscript never re-interpret the flags themselves. A backend kind is
-// nothing but a ShardExecutor and a one-shot partition for the one
-// VerifyBackend class (src/verify/backend.h). Selected first match wins:
+// `batch_verify`, `num_verify_shards` and `remote_verifiers` are
+// config-surface only: SelectVerifyBackend is the whole selection policy,
+// and PublicVerifier, RunProtocol, and AuditTranscript never re-interpret
+// the flags themselves. A backend kind is nothing but a ShardExecutor and a
+// one-shot partition for the one VerifyBackend class (src/verify/backend.h).
+// Selected first match wins:
 //
-//   remote_verifiers set, or   "remote": RemoteVerifierFleet (src/net/), one
-//   verify_workers > 1          lane per endpoint; num_verify_shards shards
+//   remote_verifiers set       "remote": RemoteVerifierFleet (src/net/), one
+//                               lane per endpoint; num_verify_shards shards
 //                               when > 1, else two per endpoint
 //   batch_verify, or           "sharded": InProcessShardExecutor, RLC
 //   num_verify_shards > 1       batches; num_verify_shards shards
@@ -66,7 +66,7 @@ inline std::optional<VerifyBackendKind> VerifyBackendKindFromName(std::string_vi
 
 // The whole mode-selection policy, in one function.
 inline VerifyBackendKind SelectVerifyBackend(const ProtocolConfig& config) {
-  if (!config.remote_verifiers.empty() || config.verify_workers > 1) {
+  if (!config.remote_verifiers.empty()) {
     return VerifyBackendKind::kRemote;
   }
   if (config.batch_verify || config.num_verify_shards > 1) {
@@ -76,8 +76,9 @@ inline VerifyBackendKind SelectVerifyBackend(const ProtocolConfig& config) {
 }
 
 // Constructs a specific backend. Validates the config first: a nonsensical
-// ProtocolConfig never reaches a backend. `fleet_options` tunes the remote
-// executor's timeouts and retries; the in-process kinds ignore it.
+// ProtocolConfig never reaches a backend, and the remote kind throws when
+// remote_verifiers is empty. `fleet_options` tunes the remote executor's
+// timeouts and retries; the in-process kinds ignore it.
 template <PrimeOrderGroup G>
 std::unique_ptr<VerifyBackend<G>> MakeVerifyBackend(
     VerifyBackendKind kind, const ProtocolConfig& config, Pedersen<G> ped,

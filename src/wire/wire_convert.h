@@ -29,7 +29,6 @@ inline WireConfig ConfigToWire(const ProtocolConfig& config) {
   w.morra_mode = config.morra_mode == MorraMode::kSeed ? 1 : 0;
   w.batch_verify = config.batch_verify ? 1 : 0;
   w.num_verify_shards = config.num_verify_shards;
-  w.verify_workers = config.verify_workers;
   w.session_id = config.session_id;
   return w;
 }
@@ -43,7 +42,6 @@ inline ProtocolConfig ConfigFromWire(const WireConfig& w) {
   config.morra_mode = w.morra_mode == 1 ? MorraMode::kSeed : MorraMode::kPedersen;
   config.batch_verify = w.batch_verify == 1;
   config.num_verify_shards = w.num_verify_shards;
-  config.verify_workers = w.verify_workers;
   config.session_id = w.session_id;
   return config;
 }

@@ -9,7 +9,7 @@ namespace wire {
 namespace {
 
 bool ValidFrameType(uint8_t t) {
-  return t >= static_cast<uint8_t>(FrameType::kHello) &&
+  return t >= static_cast<uint8_t>(FrameType::kSetup) &&
          t <= static_cast<uint8_t>(FrameType::kStatsReply);
 }
 
@@ -94,28 +94,6 @@ std::optional<Frame> DecodeFrame(BytesView data) {
   return f;
 }
 
-// --- WireHello ----------------------------------------------------------
-
-Bytes WireHello::Serialize() const {
-  Writer w;
-  w.U8(version);
-  w.U64(pid);
-  return w.Take();
-}
-
-std::optional<WireHello> WireHello::Deserialize(BytesView data) {
-  Reader r(data);
-  auto version = r.U8();
-  auto pid = r.U64();
-  if (!version || !pid || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  WireHello hello;
-  hello.version = *version;
-  hello.pid = *pid;
-  return hello;
-}
-
 // --- WireConfig ---------------------------------------------------------
 
 void WireConfig::SerializeInto(Writer* w) const {
@@ -126,7 +104,7 @@ void WireConfig::SerializeInto(Writer* w) const {
   w->U8(morra_mode);
   w->U8(batch_verify);
   w->U64(num_verify_shards);
-  w->U64(verify_workers);
+  w->U64(reserved);
   PutString(w, session_id);
 }
 
@@ -139,8 +117,8 @@ std::optional<WireConfig> WireConfig::DeserializeFrom(Reader* r) {
   auto morra = r->U8();
   auto batch = r->U8();
   auto shards = r->U64();
-  auto workers = r->U64();
-  if (!epsilon || !delta || !provers || !bins || !morra || !batch || !shards || !workers) {
+  auto reserved = r->U64();
+  if (!epsilon || !delta || !provers || !bins || !morra || !batch || !shards || !reserved) {
     return std::nullopt;
   }
   auto session = GetString(r);
@@ -157,7 +135,7 @@ std::optional<WireConfig> WireConfig::DeserializeFrom(Reader* r) {
   c.morra_mode = *morra;
   c.batch_verify = *batch;
   c.num_verify_shards = *shards;
-  c.verify_workers = *workers;
+  c.reserved = *reserved;
   c.session_id = std::move(*session);
   return c;
 }

@@ -1,9 +1,9 @@
 // Versioned binary wire format for multi-process shard verification.
 //
-// The sharded pipeline (src/shard/sharded_verifier.h) reduced each shard of
-// the upload stream to a compact, self-contained ShardResult. This module
-// takes that value across the process boundary: a driver serializes shard
-// *tasks* (params digest, shard range, uploads), worker processes return
+// The sharded pipeline (src/shard/shard_result.h) reduces each shard of the
+// upload stream to a compact, self-contained ShardResult. This module takes
+// that value across the process boundary: a driver serializes shard *tasks*
+// (params digest, shard range, uploads), verify_server processes return
 // shard *results* (accepted indices, rejection reasons, partial commitment
 // products), and the existing deterministic combiner ingests the decoded
 // results bit-identically to the in-process path. The same frames will carry
@@ -55,16 +55,15 @@ inline constexpr size_t kFrameHeaderSize = 10;
 inline constexpr uint32_t kMaxFramePayload = 256u * 1024 * 1024;
 
 enum class FrameType : uint8_t {
-  kHello = 1,   // worker -> driver, first frame after spawn
-  kSetup = 2,   // driver -> worker, session parameters
-  kTask = 3,    // driver -> worker, one shard to verify
-  kResult = 4,  // worker -> driver, the shard's verdict
-  kError = 5,   // worker -> driver, diagnostic before giving up on a task
+  // 1 is reserved: it was the retired pipe worker's hello, and a type-1
+  // frame is rejected at the header as unknown.
+  kSetup = 2,   // driver -> server, session parameters
+  kTask = 3,    // driver -> server, one shard to verify
+  kResult = 4,  // server -> driver, the shard's verdict
+  kError = 5,   // server -> driver, diagnostic before giving up on a task
   // Socket-transport bootstrap (src/net/): the hello pair carries the nonces
   // the session MAC key is derived from, the ack binds the setup digest under
-  // that key. These types never appear on the pipe transport; a v1 pipe peer
-  // rejects them at the header, which is the correct failure for a
-  // misconnected fleet.
+  // that key.
   kServerHello = 6,  // server -> driver, first frame after accept
   kClientHello = 7,  // driver -> server, answers the server hello
   kSetupAck = 8,     // server -> driver, authenticated echo of the setup digest
@@ -81,12 +80,12 @@ enum class FrameType : uint8_t {
 };
 
 struct FrameHeader {
-  FrameType type = FrameType::kHello;
+  FrameType type = FrameType::kSetup;
   uint32_t payload_size = 0;
 };
 
 struct Frame {
-  FrameType type = FrameType::kHello;
+  FrameType type = FrameType::kSetup;
   Bytes payload;
 };
 
@@ -105,17 +104,7 @@ std::optional<FrameHeader> DecodeFrameHeader(BytesView header);
 // Decodes one complete frame (header + payload, no trailing bytes).
 std::optional<Frame> DecodeFrame(BytesView data);
 
-// --- Handshake ---------------------------------------------------------
-
-// Worker's first message: which wire version it speaks and its pid (used in
-// blame messages when the driver has to kill it).
-struct WireHello {
-  uint8_t version = kWireVersion;
-  uint64_t pid = 0;
-
-  Bytes Serialize() const;
-  static std::optional<WireHello> Deserialize(BytesView data);
-};
+// --- Session setup -----------------------------------------------------
 
 // Group-agnostic mirror of ProtocolConfig. Doubles travel as their IEEE-754
 // bit patterns so the encoding is exact and byte-stable.
@@ -127,7 +116,9 @@ struct WireConfig {
   uint8_t morra_mode = 0;
   uint8_t batch_verify = 0;
   uint64_t num_verify_shards = 1;
-  uint64_t verify_workers = 0;
+  // Reserved 8-byte slot (it once carried a local fleet size): written as 0,
+  // still parsed, never read.
+  uint64_t reserved = 0;
   std::string session_id;
 
   void SerializeInto(Writer* w) const;
@@ -136,7 +127,7 @@ struct WireConfig {
   bool operator==(const WireConfig&) const = default;
 };
 
-// Everything a worker needs to verify shards of one session: the group
+// Everything a server needs to verify shards of one session: the group
 // backend by name, the protocol config, and the Pedersen generators.
 struct WireSetup {
   std::string group_name;
@@ -148,7 +139,7 @@ struct WireSetup {
   static std::optional<WireSetup> Deserialize(BytesView data);
 
   // SHA-256 of the serialized setup; every task and result carries it so a
-  // worker can prove it verified under the parameters the driver meant.
+  // server can prove it verified under the parameters the driver meant.
   Sha256::Digest Digest() const;
 
   bool operator==(const WireSetup&) const = default;
@@ -172,7 +163,7 @@ struct WireSpan {
 };
 
 // One contiguous shard of the broadcast upload stream, addressed to any
-// worker holding the matching setup.
+// server holding the matching setup.
 //
 // Trace extension (still wire v1): when the driver is tracing, the task
 // carries the (trace_id, parent span id) its remote spans should hang from
@@ -196,7 +187,7 @@ struct WireShardTask {
   bool operator==(const WireShardTask&) const = default;
 };
 
-// The wire form of ShardResult<G> (src/shard/sharded_verifier.h).
+// The wire form of ShardResult<G> (src/shard/shard_result.h).
 //
 // Decoding enforces the combiner's invariants: accepted and rejection
 // indices strictly ascending, every index within [base, base + count), and
@@ -231,10 +222,9 @@ struct WireShardResult {
 
 // --- Socket-transport handshake (src/net/) ------------------------------
 //
-// Connection bootstrap for remote verifiers. The server speaks first (like
-// the pipe worker's hello), the driver answers, and both sides derive a
-// session MAC key from the fleet's pre-shared secret and the two nonces
-// (net::DeriveSessionKey). Every frame after the hello pair -- setup, ack,
+// Connection bootstrap for remote verifiers. The server speaks first, the
+// driver answers, and both sides derive a session MAC key from the fleet's
+// pre-shared secret and the two nonces (net::DeriveSessionKey). Every frame after the hello pair -- setup, ack,
 // tasks, results -- travels MAC-bound on that key (net::AuthChannel), which
 // is what the setup digest alone cannot provide: the digest binds
 // *parameters*, the session MAC binds *identity*.

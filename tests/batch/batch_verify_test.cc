@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/batch/batch_or_proof.h"
-#include "src/batch/batch_schnorr.h"
 #include "src/core/audit.h"
 
 namespace vdp {
@@ -155,70 +154,6 @@ TEST(BatchOrVerifyTest, NonBitCommitmentRejected) {
   instances[11] = {c, OrProve(ped, c, 1, r, rng, instances[11].context), instances[11].context};
   EXPECT_FALSE(BatchOrVerify(ped, instances));
   EXPECT_FALSE(PerProofVerdict(ped, instances));
-}
-
-TEST(BatchSchnorrVerifyTest, ValidBatchAcceptsAndSingleCorruptionRejects) {
-  SecureRng rng("batch-schnorr");
-  auto h = G::HashToGroup(StrView("batch-schnorr-test"), StrView("base"));
-  std::vector<SchnorrInstance<G>> instances;
-  for (size_t i = 0; i < 200; ++i) {
-    S w = S::Random(rng);
-    SchnorrInstance<G> inst;
-    inst.base = h;
-    inst.y = G::Exp(h, w);
-    inst.transcript = Transcript("batch-schnorr-test/" + std::to_string(i));
-    Transcript prover_side = inst.transcript;
-    inst.proof = SchnorrProve<G>(inst.base, inst.y, w, prover_side, rng);
-    instances.push_back(inst);
-  }
-  EXPECT_TRUE(BatchSchnorrVerify(instances));
-  EXPECT_TRUE(BatchSchnorrVerify(std::vector<SchnorrInstance<G>>{}));
-
-  {
-    auto tampered = instances;
-    tampered[123].proof.response += S::One();
-    EXPECT_FALSE(BatchSchnorrVerify(tampered));
-  }
-  {
-    auto tampered = instances;
-    tampered[42].proof.commit = G::Mul(tampered[42].proof.commit, G::Generator());
-    EXPECT_FALSE(BatchSchnorrVerify(tampered));
-  }
-  {
-    auto tampered = instances;
-    tampered[7].y = G::Mul(tampered[7].y, G::Generator());
-    EXPECT_FALSE(BatchSchnorrVerify(tampered));
-  }
-}
-
-TEST(BatchSchnorrVerifyTest, AgreesWithPerProofVerifier) {
-  SecureRng rng("batch-schnorr-agree");
-  std::vector<SchnorrInstance<G>> instances;
-  for (size_t i = 0; i < 20; ++i) {
-    S w = S::Random(rng);
-    SchnorrInstance<G> inst;
-    inst.base = G::Generator();
-    inst.y = G::ExpG(w);
-    inst.transcript = Transcript("agree/" + std::to_string(i));
-    Transcript prover_side = inst.transcript;
-    inst.proof = SchnorrProve<G>(inst.base, inst.y, w, prover_side, rng);
-    instances.push_back(inst);
-  }
-  auto per_proof = [&](const std::vector<SchnorrInstance<G>>& batch) {
-    for (const auto& inst : batch) {
-      Transcript t = inst.transcript;
-      if (!SchnorrVerify(inst.base, inst.y, inst.proof, t)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  EXPECT_TRUE(BatchSchnorrVerify(instances));
-  EXPECT_TRUE(per_proof(instances));
-  auto tampered = instances;
-  tampered[13].proof.response += S::One();
-  EXPECT_FALSE(BatchSchnorrVerify(tampered));
-  EXPECT_FALSE(per_proof(tampered));
 }
 
 // --- integration with the public verifier ----------------------------------

@@ -51,6 +51,48 @@ TEST(TimingAuditResultTest, ThresholdIsTwoSided) {
   EXPECT_FALSE(result.Leaks());
 }
 
+// Feeds a fixed sequence of per-attempt t statistics to RetryTimingAudit;
+// *calls counts the attempts it ran.
+double Replay(const std::vector<double>& ts, bool want_leak, size_t* calls,
+              int max_attempts = 5) {
+  *calls = 0;
+  return RetryTimingAudit([&] { return ts.at((*calls)++); }, max_attempts, want_leak);
+}
+
+TEST(RetryTimingAuditTest, RequiredCheckKeepsSmallestAbsT) {
+  size_t calls = 0;
+  // A noisy first attempt, then a clean one: the clean attempt decides and
+  // ends the run.
+  double t = Replay({+10.73, -3.47, +25.0}, /*want_leak=*/false, &calls);
+  EXPECT_DOUBLE_EQ(t, -3.47);
+  EXPECT_EQ(calls, 2u);
+  EXPECT_FALSE(TimingAuditResult{t}.Leaks());
+
+  // A leak on every attempt stays a leak: all attempts run, smallest |t| kept.
+  t = Replay({+40.0, -12.5, +30.0, +19.0, +55.0}, /*want_leak=*/false, &calls);
+  EXPECT_DOUBLE_EQ(t, -12.5);
+  EXPECT_EQ(calls, 5u);
+  EXPECT_TRUE(TimingAuditResult{t}.Leaks());
+}
+
+TEST(RetryTimingAuditTest, ControlMustLeakOnEveryAttemptItRuns) {
+  size_t calls = 0;
+  EXPECT_DOUBLE_EQ(Replay({-80.0}, /*want_leak=*/true, &calls), -80.0);
+  EXPECT_EQ(calls, 1u);
+
+  // A clean attempt is kept even after a later leak, so the control fails.
+  const double t = Replay({+4.0, +60.0}, /*want_leak=*/true, &calls);
+  EXPECT_DOUBLE_EQ(t, +4.0);
+  EXPECT_EQ(calls, 2u);
+  EXPECT_FALSE(TimingAuditResult{t}.Leaks());
+}
+
+TEST(RetryTimingAuditTest, RunsAtLeastOnce) {
+  size_t calls = 0;
+  EXPECT_DOUBLE_EQ(Replay({+3.0}, /*want_leak=*/false, &calls, /*max_attempts=*/0), +3.0);
+  EXPECT_EQ(calls, 1u);
+}
+
 // Live engine run against an operation whose adversarial class does ~100x
 // the work of the fixed class: the audit must flag it even on one noisy
 // shared core. (No "must NOT leak" live assertion here -- that verdict needs

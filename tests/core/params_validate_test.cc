@@ -30,9 +30,8 @@ TEST(ProtocolConfigValidateTest, RealisticBackendConfigsAreValid) {
   EXPECT_FALSE(config.Validate().has_value());
   config.num_verify_shards = 8;
   EXPECT_FALSE(config.Validate().has_value());
-  config.verify_workers = 4;
-  EXPECT_FALSE(config.Validate().has_value());
-  config.verify_workers = 0;  // in-process is explicit and valid
+  config.remote_verifiers = {"tcp:127.0.0.1:7000", "unix:/run/vdp/verify.sock"};
+  config.remote_auth_key_hex = std::string(32, 'a');
   EXPECT_FALSE(config.Validate().has_value());
 }
 
@@ -80,19 +79,6 @@ TEST(ProtocolConfigValidateTest, RejectsZeroShards) {
   auto error = config.Validate();
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->field, "num_verify_shards");
-}
-
-// verify_workers == 1 is the ambiguous combination: it *reads* like a
-// multi-process request but has always carried in-process semantics
-// (the pipeline only leaves the process at > 1). Validate() forces the
-// caller to say which one they mean.
-TEST(ProtocolConfigValidateTest, RejectsSingleWorkerAmbiguity) {
-  ProtocolConfig config;
-  config.verify_workers = 1;
-  auto error = config.Validate();
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->field, "verify_workers");
-  EXPECT_NE(error->message.find("ambiguous"), std::string::npos);
 }
 
 // Protocol entry: an invalid config is rejected as a structured verdict
@@ -147,9 +133,6 @@ TEST(ProtocolConfigValidateTest, FactoryThrowsOnEveryInvalidCombo) {
   config = ProtocolConfig{};
   config.num_verify_shards = 0;
   expect_throws(config, "num_verify_shards");
-  config = ProtocolConfig{};
-  config.verify_workers = 1;
-  expect_throws(config, "verify_workers");
 }
 
 }  // namespace

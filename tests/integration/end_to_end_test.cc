@@ -35,21 +35,15 @@ ProtocolConfig E2eConfig(size_t k, size_t m, const std::string& sid) {
   if (const char* env = std::getenv("VDP_NUM_VERIFY_SHARDS")) {
     config.num_verify_shards = static_cast<size_t>(std::max(1L, std::strtol(env, nullptr, 10)));
   }
-  // Second CI hook: VDP_VERIFY_WORKERS > 1 pushes the same suite through
-  // a spawned local verify_server fleet (the remote backend over loopback
-  // sockets), which is equally decision-identical.
-  if (const char* env = std::getenv("VDP_VERIFY_WORKERS")) {
-    config.verify_workers = static_cast<size_t>(std::max(0L, std::strtol(env, nullptr, 10)));
-  }
-  // Third CI hook: VDP_REMOTE_VERIFIERS ("spawn:N" stands up a shared
+  // Second CI hook: VDP_REMOTE_VERIFIERS ("spawn:N" stands up a shared
   // loopback verify_server fleet; or an endpoint list with
   // VDP_REMOTE_AUTH_KEY) pushes the same suite through the remote socket
   // backend (src/net/), which is equally decision-identical. When the env
-  // var is set the hook MUST apply -- silently degrading to the in-process
-  // path would let the remote-loopback CI job go green while testing
-  // nothing remote.
-  if (!net::ApplyRemoteEnvHook(&config) &&
-      std::getenv("VDP_REMOTE_VERIFIERS") != nullptr) {
+  // var is non-empty the hook MUST apply -- silently degrading to the
+  // in-process path would let the remote CI jobs go green while testing
+  // nothing remote. (CI matrix entries without a fleet export it empty.)
+  const char* remote_env = std::getenv("VDP_REMOTE_VERIFIERS");
+  if (!net::ApplyRemoteEnvHook(&config) && remote_env != nullptr && remote_env[0] != '\0') {
     ADD_FAILURE() << "VDP_REMOTE_VERIFIERS is set but no remote fleet could be "
                      "applied (is verify_server next to the test binary?)";
   }

@@ -1,5 +1,5 @@
 // Cross-mode equivalence: monolithic, in-process-sharded, and multi-process
-// verification (verify_workers: a spawned local verify_server fleet) are
+// verification (the remote backend on a loopback verify_server fleet) are
 // three executions of the same abstract verifier, so on the same seeded
 // transcript they must produce bit-identical accept sets, Eq. 10 commitment
 // products, and audit verdicts -- including on transcripts that contain
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/audit.h"
+#include "src/net/server_process.h"
 
 namespace vdp {
 namespace {
@@ -38,7 +39,9 @@ ProtocolConfig InProcessSharded() {
 ProtocolConfig MultiProcess() {
   ProtocolConfig config = BaseConfig();
   config.num_verify_shards = 5;
-  config.verify_workers = 3;
+  const net::LoopbackFleet& fleet = net::SharedLoopbackFleet(3);
+  EXPECT_EQ(fleet.servers().size(), 3u);
+  fleet.ApplyTo(&config);
   return config;
 }
 

@@ -1,9 +1,9 @@
 // The fleet driver under adversarial interleavings, written for the tsan CI
 // job: the remote socket fleet executes a streamed run while other threads
-// read Progress/PartialReport and rip the fleet-health report out
-// mid-stream, a close-faulted server turns every one of its shards into a
-// reconnect -- a reconnect storm with concurrent observers -- and a
-// verify_workers backend streams to its own spawned fleet under an observer.
+// read Progress/PartialReport and the fleet-health report mid-stream, a
+// close-faulted server turns every one of its shards into a reconnect -- a
+// reconnect storm with concurrent observers -- and the remote backend
+// streams to a loopback fleet under an observer.
 // Verdicts must still match the deterministic expectation; under
 // ThreadSanitizer any unsynchronized access in the executors' shared report
 // state or the dispatcher is a hard failure.
@@ -49,12 +49,12 @@ std::vector<ClientUploadMsg<G>> Corpus(const ProtocolConfig& config,
 }
 
 // Streams `uploads` through `executor` while monitor threads hammer the
-// observer API and a report thief calls take_report() concurrently.
-template <typename TakeReportFn>
+// observer API and a report thief calls read_report() concurrently.
+template <typename ReadReportFn>
 VerifyReport<G> StreamWithObservers(const ProtocolConfig& config,
                                     ShardExecutor<G>* executor,
                                     std::vector<ClientUploadMsg<G>> uploads,
-                                    const TakeReportFn& take_report) {
+                                    const ReadReportFn& read_report) {
   StreamDispatchOptions options;
   options.shard_capacity = 3;
   options.max_inflight_shards = 2;
@@ -71,7 +71,7 @@ VerifyReport<G> StreamWithObservers(const ProtocolConfig& config,
   });
   std::thread thief([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      take_report();
+      read_report();
     }
   });
 
@@ -106,7 +106,7 @@ TEST(FleetStressTest, RemoteFleetReconnectStormWithConcurrentObservers) {
   options.max_attempts_per_shard = 3;
   RemoteVerifierFleet<G> verifier(config, ped, options);
   VerifyReport<G> report = StreamWithObservers(
-      config, &verifier, std::move(uploads), [&verifier] { (void)verifier.TakeReport(); });
+      config, &verifier, std::move(uploads), [&verifier] { (void)verifier.Report(); });
   ExpectVerdict(report, 15);
 }
 
@@ -141,19 +141,6 @@ TEST(FleetStressTest, RemoteBackendProgressWhileStreaming) {
 
   auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped);
   ExpectVerdict(BackendStreamWithObserver(backend.get(), std::move(uploads)), 12);
-}
-
-// verify_workers: the backend streams to the server fleet it spawned, while
-// the monitor polls from the moment the stream opens.
-TEST(FleetStressTest, VerifyWorkersStreamWithConcurrentObserver) {
-  ProtocolConfig config = BaseConfig();
-  config.stream_shard_capacity = 3;
-  config.verify_workers = 2;
-  Pedersen<G> ped;
-  auto uploads = Corpus(config, ped, 15);
-
-  auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped);
-  ExpectVerdict(BackendStreamWithObserver(backend.get(), std::move(uploads)), 15);
   const RemoteFleetReport report = backend->last_fleet_report();
   EXPECT_EQ(report.shards_from_remote, report.shards_total);
   EXPECT_TRUE(report.failures.empty()) << "first failure: " << report.failures[0].reason;

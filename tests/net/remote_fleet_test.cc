@@ -348,7 +348,7 @@ TEST_F(RemoteFleetTest, DeadEndpointsAreSkippedAtDispatchVerdictUnchanged) {
   EXPECT_EQ(live.accepted, VerifyShard(config, ped_, uploads.data(), 7, 0, 0).accepted);
   EXPECT_EQ(dead.accepted, VerifyShard(config, ped_, uploads.data() + 7, 7, 7, 1).accepted);
   EXPECT_GT(obs::GlobalCounter(obs::kFleetDispatchSkips)->value(), skips_before);
-  RemoteFleetReport lanes = verifier.TakeReport();
+  RemoteFleetReport lanes = verifier.Report();
   // The live lane carried real remote work; the dead lane's shard was
   // recovered locally; a skip is a policy decision, not a failure.
   EXPECT_EQ(lanes.shards_from_remote, 1u);

@@ -1,13 +1,11 @@
-// The local verify_server fleet behind ProtocolConfig::verify_workers, and a
-// verify_server session driven by hand.
+// A spawned loopback verify_server fleet (net::LoopbackFleet) under the
+// remote backend, and a verify_server session driven by hand.
 //
-// verify_workers = N makes the remote backend spawn N loopback servers. Its
-// combined verdict must be bit-identical to the in-process sharded pipeline
-// in every fleet condition -- healthy, one server crashing mid-shard, every
-// server crashing, and a fleet that cannot be spawned at all -- and failures
-// must be blamed (which endpoint, which shard, how it ended) without
-// perturbing the verdict. Faults reach the spawned servers through
-// $VDP_SERVER_FAULT, which they inherit.
+// The remote backend's combined verdict must be bit-identical to the
+// in-process sharded pipeline in every fleet condition -- healthy, one
+// server crashing mid-shard, every server crashing -- and failures must be
+// blamed (which endpoint, which shard, how it ended) without perturbing the
+// verdict.
 //
 // A hand-driven session pins the daemon's task protocol: a task for another
 // setup is refused, a well-formed task is answered bit-identically to
@@ -15,8 +13,6 @@
 // without taking the server down.
 #include <gtest/gtest.h>
 #include <unistd.h>
-
-#include <cstdlib>
 
 #include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
@@ -27,19 +23,6 @@ namespace {
 
 using G = ModP256;
 using S = G::Scalar;
-
-// Scoped environment variable; spawned servers inherit it through
-// fork/exec.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    setenv(name_, value.c_str(), 1);
-  }
-  ~ScopedEnv() { unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 ProtocolConfig PoolConfig(size_t shards) {
   ProtocolConfig config;
@@ -112,14 +95,17 @@ class SpawnedFleetTest : public ::testing::Test {
     uploads_ = MakeUploads(config_, ped_, 64);
     expected_ = MakeVerifyBackend<G>(VerifyBackendKind::kSharded, config_, ped_)
                     ->VerifyAll(uploads_);
-    config_.verify_workers = 2;
-    ASSERT_EQ(SelectVerifyBackend(config_), VerifyBackendKind::kRemote);
   }
 
-  // One one-shot run on a fresh backend, which spawns (and on return tears
-  // down) its own verify_workers fleet.
-  VerifyReport<G> RunFleet(RemoteFleetReport* report, bool compute_products = true) {
-    auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config_, ped_);
+  // One one-shot run on a fresh two-server fleet started with `fault`.
+  VerifyReport<G> RunFleet(RemoteFleetReport* report, bool compute_products = true,
+                           const std::string& fault = "") {
+    net::LoopbackFleet fleet(2, fault);
+    EXPECT_EQ(fleet.servers().size(), 2u);
+    ProtocolConfig config = config_;
+    fleet.ApplyTo(&config);
+    EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);
+    auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_);
     VerifyOptions options;
     options.compute_products = compute_products;
     VerifyReport<G> verdict = backend->VerifyAll(uploads_, options);
@@ -162,7 +148,7 @@ TEST_F(SpawnedFleetTest, CrashedServerIsBlamedAndShardRecovered) {
   ExpectSameShard(VerifyShard(config, ped_, uploads_.data(), 32, 0, 0), crashed);
   ExpectSameShard(VerifyShard(config, ped_, uploads_.data() + 32, 32, 32, 1), healthy);
 
-  RemoteFleetReport report = verifier.TakeReport();
+  RemoteFleetReport report = verifier.Report();
   EXPECT_EQ(report.shards_from_remote, 1u);
   EXPECT_EQ(report.shards_recovered_in_process, 1u);
   ASSERT_FALSE(report.failures.empty());
@@ -171,11 +157,10 @@ TEST_F(SpawnedFleetTest, CrashedServerIsBlamedAndShardRecovered) {
   EXPECT_NE(report.failures[0].reason.find("no result"), std::string::npos)
       << report.failures[0].reason;
 
-  // The same fault through verify_workers: whichever lanes meet the dead
+  // The same fault through the dispatcher: whichever lanes meet the dead
   // server, the verdict is the in-process one.
-  ScopedEnv fault("VDP_SERVER_FAULT", "crash:0");
   RemoteFleetReport spawned;
-  ExpectSameVerdict(expected_, RunFleet(&spawned));
+  ExpectSameVerdict(expected_, RunFleet(&spawned, /*compute_products=*/true, "crash:0"));
   EXPECT_EQ(spawned.shards_from_remote + spawned.shards_recovered_in_process,
             spawned.shards_total);
 }
@@ -184,33 +169,13 @@ TEST_F(SpawnedFleetTest, FullyBrokenFleetRecoversInProcess) {
   // Every spawned server exits on its first task: after the retries and the
   // reconnect ladder the driver verifies each shard locally, so the verdict
   // survives a fleet that cannot verify anything.
-  ScopedEnv fault("VDP_SERVER_FAULT", "crash:all");
   RemoteFleetReport report;
-  auto verdict = RunFleet(&report);
+  auto verdict = RunFleet(&report, /*compute_products=*/true, "crash:all");
   ExpectSameVerdict(expected_, verdict);
   EXPECT_EQ(report.shards_from_remote, 0u);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
   ASSERT_FALSE(report.failures.empty());
   EXPECT_NE(report.failures[0].reason.find("no result"), std::string::npos)
-      << report.failures[0].reason;
-}
-
-TEST_F(SpawnedFleetTest, MissingServerBinaryRecoversInProcess) {
-  // No server can be spawned, so the fleet has no endpoint at all: every
-  // shard is blamed and recovered in process, and counted as recovered.
-  ScopedEnv path("VDP_VERIFY_SERVER_PATH", "/nonexistent/verify_server");
-  const uint64_t recovered_before =
-      obs::GlobalCounter(obs::kFleetShardsRecovered)->value();
-  RemoteFleetReport report;
-  auto verdict = RunFleet(&report);
-  ExpectSameVerdict(expected_, verdict);
-  EXPECT_EQ(report.shards_total, 4u);
-  EXPECT_EQ(report.shards_from_remote, 0u);
-  EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
-  EXPECT_EQ(obs::GlobalCounter(obs::kFleetShardsRecovered)->value() - recovered_before,
-            report.shards_total);
-  ASSERT_EQ(report.failures.size(), report.shards_total);
-  EXPECT_NE(report.failures[0].reason.find("no remote endpoints"), std::string::npos)
       << report.failures[0].reason;
 }
 

@@ -8,11 +8,11 @@
 // the group registry: VDP_GROUP selects which compiled-in group runs (the CI
 // group-matrix job exports ed25519; default modp-256), so the same binary
 // proves conformance for the mod-p and curve arithmetic paths alike. The
-// remote backend runs on its own spawned verify_workers fleet, whose size
-// honors VDP_VERIFY_WORKERS (the CI backend-matrix job exports 0 and 3), so
-// the fleet shape under test varies across workflow configurations without
-// changing any decision; the fleet-failure cases below drive explicit
-// remote_verifiers fleets.
+// remote backend runs on the process-wide loopback fleet: VDP_REMOTE_VERIFIERS
+// picks it (the CI backend-matrix job exports spawn:3 in one entry), else two
+// servers. So the fleet shape under test varies across workflow
+// configurations without changing any decision; the fleet-failure cases
+// below drive fleets of their own.
 #include <gtest/gtest.h>
 #include <signal.h>
 
@@ -27,16 +27,6 @@
 
 namespace vdp {
 namespace {
-
-size_t WorkersFromEnv() {
-  if (const char* env = std::getenv("VDP_VERIFY_WORKERS")) {
-    long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 1) {
-      return static_cast<size_t>(parsed);
-    }
-  }
-  return 2;
-}
 
 // Runs fn(GroupTag<G>{}) for the group selected by VDP_GROUP (default
 // modp-256). Every conformance test body routes through here, so exporting
@@ -70,11 +60,13 @@ struct Suite {
         config.num_verify_shards = 5;
         break;
       case VerifyBackendKind::kRemote:
-        // A real loopback socket fleet, spawned by each backend when it is
-        // made and down with it. The servers select this group from the wire
-        // setup frame.
+        // A real loopback socket fleet, shared by every remote backend of
+        // the process. The servers select this group from the wire setup
+        // frame.
         config.num_verify_shards = 5;
-        config.verify_workers = WorkersFromEnv();
+        if (!net::ApplyRemoteEnvHook(&config)) {
+          net::SharedLoopbackFleet(2).ApplyTo(&config);
+        }
         break;
     }
     return config;
@@ -541,7 +533,7 @@ TEST(RemoteFailureConformanceTest, RecoveryAfterKilledServer) {
 // Factory policy: group-independent, pinned on the default group. Three
 // strategies: the per-proof oracle, the in-process sharded pipeline (which a
 // lone batch_verify runs as one whole-stream shard), and the server fleet
-// (which verify_workers spawns locally).
+// (which remote_verifiers names).
 TEST(BackendFactoryTest, SelectionPolicyMatchesFlags) {
   EXPECT_EQ(AllVerifyBackendKinds().size(), 3u);
   ProtocolConfig config;
@@ -550,18 +542,12 @@ TEST(BackendFactoryTest, SelectionPolicyMatchesFlags) {
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
   config.num_verify_shards = 4;
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
-  config.verify_workers = 3;
-  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);
 
-  // Sharding alone selects sharded; workers win over both; a provisioned
-  // remote fleet wins over everything.
+  // Sharding alone selects sharded; a provisioned remote fleet wins over
+  // everything.
   ProtocolConfig sharded_only;
   sharded_only.num_verify_shards = 2;
   EXPECT_EQ(SelectVerifyBackend(sharded_only), VerifyBackendKind::kSharded);
-  ProtocolConfig workers_only;
-  workers_only.verify_workers = 2;
-  EXPECT_EQ(SelectVerifyBackend(workers_only), VerifyBackendKind::kRemote);
-  config.verify_workers = 0;
   config.remote_verifiers = {"tcp:127.0.0.1:7000"};
   config.remote_auth_key_hex = std::string(32, 'a');
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);
@@ -598,10 +584,8 @@ TEST(BackendFactoryTest, OneShotPartitionPerKind) {
   EXPECT_EQ(shards(VerifyBackendKind::kRemote, remote), 5u);
   remote.num_verify_shards = 1;
   EXPECT_EQ(shards(VerifyBackendKind::kRemote, remote), 4u);  // 2 x endpoints
-  ProtocolConfig workers = config;
-  workers.num_verify_shards = 1;
-  workers.verify_workers = 3;
-  EXPECT_EQ(shards(VerifyBackendKind::kRemote, workers), 6u);  // 2 x spawned servers
+  remote.remote_verifiers.push_back(remote.remote_verifiers[0]);
+  EXPECT_EQ(shards(VerifyBackendKind::kRemote, remote), 6u);  // 2 x 3 endpoints
 }
 
 TEST(BackendFactoryTest, NamesRoundTripThroughRegistry) {
@@ -616,8 +600,12 @@ TEST(BackendFactoryTest, NamesRoundTripThroughRegistry) {
 TEST(BackendFactoryTest, RejectsInvalidConfig) {
   Pedersen<ModP256> ped;
   ProtocolConfig config;
-  config.verify_workers = 1;  // ambiguous: Validate() rejects it
+  config.num_verify_shards = 0;  // meaningless: Validate() rejects it
   EXPECT_THROW(MakeVerifyBackend<ModP256>(config, ped), std::invalid_argument);
+
+  // The remote kind names a fleet; it never starts one of its own.
+  EXPECT_THROW(MakeVerifyBackend<ModP256>(VerifyBackendKind::kRemote, ProtocolConfig{}, ped),
+               std::invalid_argument);
 
   ProtocolConfig keyless;
   keyless.remote_verifiers = {"tcp:127.0.0.1:7000"};  // fleet without a secret

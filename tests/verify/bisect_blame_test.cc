@@ -1,5 +1,5 @@
 // Blame by bisection at the upload level: every path that runs VerifyShard
-// -- the shard itself, the sharded backend, a spawned verify_workers fleet
+// -- the shard itself, the sharded backend, a loopback verify_server fleet
 // and the auditor -- must reach the per-proof oracle's accepted set,
 // rejection reasons and commitment products on every adversarial placement
 // of forged uploads, on a mod-p and a curve group, with and without a pool.
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/audit.h"
+#include "src/net/server_process.h"
 #include "src/verify/factory.h"
 
 namespace vdp {
@@ -183,14 +184,16 @@ TYPED_TEST(BisectBlameTest, ShardAndShardedBackendMatchOracle) {
   }
 }
 
-// The verify_server daemons run the same search: a spawned two-server
+// The verify_server daemons run the same search: a loopback two-server
 // fleet, every shard served remotely.
 TYPED_TEST(BisectBlameTest, SpawnedFleetMatchesOracle) {
   using G = TypeParam;
+  net::LoopbackFleet servers(2);
+  ASSERT_EQ(servers.servers().size(), 2u);
   for (size_t bins : {size_t{1}, size_t{3}}) {
     ProtocolConfig config = ConfigFor(bins);
     config.num_verify_shards = 2;
-    config.verify_workers = 2;
+    servers.ApplyTo(&config);
     auto fleet = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, this->ped_);
     for (const Scenario& scenario : Scenarios()) {
       if (scenario.bins != bins) {

@@ -45,7 +45,7 @@ WireConfig RandomConfig(SecureRng& rng) {
   c.morra_mode = static_cast<uint8_t>(rng.UniformBelow(2));
   c.batch_verify = static_cast<uint8_t>(rng.UniformBelow(2));
   c.num_verify_shards = rng.UniformBelow(64) + 1;
-  c.verify_workers = rng.UniformBelow(16);
+  c.reserved = rng.UniformBelow(16);
   c.session_id = RandomReason(rng);
   return c;
 }
@@ -126,17 +126,9 @@ WireShardResult RandomResult(SecureRng& rng) {
 
 // --- round-trip properties ----------------------------------------------
 
-TEST(WireRoundTrip, HelloErrorConfig) {
+TEST(WireRoundTrip, ErrorConfig) {
   SecureRng rng("wire-roundtrip-small");
   for (int iter = 0; iter < 200; ++iter) {
-    WireHello hello;
-    hello.version = static_cast<uint8_t>(rng.UniformBelow(256));
-    hello.pid = rng.NextU64();
-    auto hello2 = WireHello::Deserialize(hello.Serialize());
-    ASSERT_TRUE(hello2.has_value());
-    EXPECT_EQ(hello2->version, hello.version);
-    EXPECT_EQ(hello2->pid, hello.pid);
-
     WireError error;
     error.message = RandomReason(rng);
     auto error2 = WireError::Deserialize(error.Serialize());
@@ -180,7 +172,8 @@ TEST(WireRoundTrip, ShardResultBitIdentical) {
 TEST(WireRoundTrip, FrameBitIdentical) {
   SecureRng rng("wire-roundtrip-frame");
   for (int iter = 0; iter < 200; ++iter) {
-    FrameType type = static_cast<FrameType>(rng.UniformBelow(12) + 1);
+    // Every valid type: 2 (kSetup) through 12 (kStatsReply); 1 is reserved.
+    FrameType type = static_cast<FrameType>(rng.UniformBelow(11) + 2);
     Bytes payload = rng.RandomBytes(rng.UniformBelow(256));
     Bytes encoded = EncodeFrame(type, payload);
     auto frame = DecodeFrame(encoded);
@@ -368,8 +361,6 @@ TEST(WireTruncation, EveryPrefixRejected) {
     }
     ExpectAllTruncationsRejected(result, result_allowed);
   }
-  WireHello hello;
-  ExpectAllTruncationsRejected(hello);
   WireError error;
   error.message = "diagnostic";
   ExpectAllTruncationsRejected(error);
@@ -428,7 +419,6 @@ TEST(WireBitFlips, RandomBufferSoupIsSound) {
   for (int iter = 0; iter < 2000; ++iter) {
     Bytes soup = rng.RandomBytes(rng.UniformBelow(160));
     BytesView view(soup);
-    (void)WireHello::Deserialize(view);
     (void)WireError::Deserialize(view);
     (void)WireSetup::Deserialize(view);
     (void)WireShardTask::Deserialize(view);
@@ -601,7 +591,7 @@ TEST(WireInvariants, ReadFrameClassifiesOkVersionSkewMalformedEofAndTimeout) {
 }
 
 TEST(WireInvariants, FrameHeaderRejectsWrongMagicVersionTypeAndHugePayload) {
-  Bytes header = EncodeFrame(FrameType::kHello, {});
+  Bytes header = EncodeFrame(FrameType::kSetup, {});
   ASSERT_EQ(header.size(), kFrameHeaderSize);
   EXPECT_TRUE(DecodeFrameHeader(header).has_value());
 
@@ -615,6 +605,8 @@ TEST(WireInvariants, FrameHeaderRejectsWrongMagicVersionTypeAndHugePayload) {
 
   bad = header;
   bad[5] = 0;  // frame type below range
+  EXPECT_FALSE(DecodeFrameHeader(bad).has_value());
+  bad[5] = 1;  // reserved: the retired pipe worker's hello
   EXPECT_FALSE(DecodeFrameHeader(bad).has_value());
   bad[5] = 13;  // frame type above range (12 = kStatsReply is the last valid)
   EXPECT_FALSE(DecodeFrameHeader(bad).has_value());

@@ -8,9 +8,12 @@
 //
 // vdp_lint's wire-golden rule enforces the pairing mechanically: any change
 // set touching src/wire/wire_format.* must touch this file too, so encoding
-// drift is always acknowledged next to the bytes it freezes. (PR 9's edits
-// to wire_format.cc were decode-internal -- zero-initialized scratch arrays
-// -- and every golden vector below is unchanged.)
+// drift is always acknowledged next to the bytes it freezes. Zero-initialized
+// decode scratch arrays changed no byte below. Retiring the pipe worker's
+// hello (frame type 1, now reserved) dropped its vector and left every other
+// one unchanged; the setup's eight-byte WireConfig slot that once carried a
+// local fleet size is now reserved, and GoldenSetup() fills it with the
+// pinned 3 directly.
 #include <gtest/gtest.h>
 
 #include "src/common/hex.h"
@@ -56,9 +59,6 @@ constexpr char kGoldenSetupPayloadHex[] =
 constexpr char kGoldenSetupDigestHex[] =
     "b371da10bb7b346dc547777f03a47d7962a766716d1bda4627600b62aaddeb92";
 
-// EncodeFrame(kHello, ...) for version 1, pid 4242.
-constexpr char kGoldenHelloFrameHex[] = "56445057010109000000019210000000000000";
-
 WireShardResult GoldenResult() {
   WireShardResult r;
   for (size_t i = 0; i < r.params_digest.size(); ++i) {
@@ -94,10 +94,12 @@ WireSetup GoldenSetup() {
   config.num_bins = 3;
   config.batch_verify = true;
   config.num_verify_shards = 4;
-  config.verify_workers = 3;
   config.session_id = "golden-session";
   Pedersen<ModP256> ped;
-  return MakeWireSetup(config, ped);
+  WireSetup setup = MakeWireSetup(config, ped);
+  EXPECT_EQ(setup.config.reserved, 0u);  // drivers write 0
+  setup.config.reserved = 3;
+  return setup;
 }
 
 TEST(WireGolden, ResultFrameBytesArePinned) {
@@ -117,12 +119,16 @@ TEST(WireGolden, SetupPayloadAndDigestArePinned) {
   EXPECT_EQ(HexEncode(BytesView(digest.data(), digest.size())), kGoldenSetupDigestHex);
 }
 
-TEST(WireGolden, HelloFrameBytesArePinned) {
-  WireHello hello;
-  hello.version = 1;
-  hello.pid = 4242;
-  EXPECT_EQ(HexEncode(EncodeFrame(FrameType::kHello, hello.Serialize())),
-            kGoldenHelloFrameHex);
+// Frame type 1 (the retired pipe worker's hello) is reserved: a frame that
+// carries it is rejected at the header as unknown.
+TEST(WireGolden, ReservedFrameTypeOneIsRejected) {
+  auto frame_bytes = HexDecode(kGoldenTaskFrameHex);
+  ASSERT_TRUE(frame_bytes.has_value());
+  Bytes retyped = *frame_bytes;
+  retyped[5] = 1;  // the type byte follows the magic and the version
+  EXPECT_FALSE(DecodeFrame(retyped).has_value());
+  EXPECT_FALSE(
+      DecodeFrameHeader(BytesView(retyped.data(), kFrameHeaderSize)).has_value());
 }
 
 // The checked-in fixtures must decode back to the values that produced

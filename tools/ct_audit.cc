@@ -20,9 +20,10 @@
 //                       variable-time by design; reported for visibility,
 //                       never gating.
 //
-// Required checks get several attempts and keep the best |t|: a genuine leak
-// reproduces on every attempt, while a scheduler burst that fakes one does
-// not. Positive controls symmetrically keep the worst |t|.
+// Each check gets several attempts and keeps the smallest |t|
+// (RetryTimingAudit): a genuine leak reproduces on every attempt, while a
+// scheduler burst that fakes one does not.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -235,29 +236,10 @@ int main(int argc, char** argv) {
   std::printf("ct_audit: %zu samples/class, %d attempt(s), |t| threshold 10\n",
               options.samples_per_class, attempts);
   for (const CheckSpec& check : BuildChecks()) {
-    const bool want_leak = check.kind == CheckKind::kPositiveControl;
-    // Required checks keep the best attempt (a real leak reproduces every
-    // time); controls keep the worst (a real early-exit leaks every time).
-    double best_abs_t = want_leak ? 1e300 : 0.0;
-    double reported_t = 0.0;
-    for (int a = 0; a < attempts; ++a) {
-      const TimingAuditResult result = RunTimingAudit(check.op, options);
-      const double abs_t = result.t_stat < 0 ? -result.t_stat : result.t_stat;
-      const bool better = want_leak ? abs_t < best_abs_t : abs_t > best_abs_t;
-      if (a == 0 || better) {
-        best_abs_t = abs_t;
-        reported_t = result.t_stat;
-      }
-      // Early accept: a required check that measured clean, or a control
-      // that already leaked unambiguously, needs no further attempts.
-      if (!want_leak && abs_t <= 10.0) {
-        break;
-      }
-      if (want_leak && abs_t > 10.0) {
-        break;
-      }
-    }
-    const bool leaks = best_abs_t > 10.0;
+    const double t_stat = RetryTimingAudit(
+        [&check, &options] { return RunTimingAudit(check.op, options).t_stat; }, attempts,
+        /*want_leak=*/check.kind == CheckKind::kPositiveControl);
+    const bool leaks = std::fabs(t_stat) > 10.0;
     bool ok = true;
     if (check.kind == CheckKind::kRequiredConstantTime) {
       ok = !leaks;
@@ -266,7 +248,7 @@ int main(int argc, char** argv) {
     }
     failed = failed || !ok;
     std::printf("  [%s] %-40s t=%+9.2f  %s\n", KindLabel(check.kind),
-                check.name.c_str(), reported_t,
+                check.name.c_str(), t_stat,
                 check.kind == CheckKind::kInfoOnly ? (leaks ? "variable-time (expected)"
                                                             : "no separation")
                 : ok                               ? "ok"

@@ -1,6 +1,6 @@
 // verify_server: one shard-verification daemon of the fleet pipeline
 // (src/net/remote_fleet.h) -- on another machine, or spawned on loopback by
-// the driver itself for ProtocolConfig::verify_workers.
+// a test or bench (src/net/server_process.h).
 //
 // Per connection (all frames per src/wire/wire_format.h over the socket):
 //   1. server -> driver: kServerHello (wire version, pid, --id, nonce)
@@ -49,14 +49,12 @@
 //                $VDP_METRICS_OUT is the env twin.
 // --health-interval  also flush a metrics snapshot to the run-log every N
 //                milliseconds, so a daemon between sessions still trends.
-// --fault        test hook (env VDP_SERVER_FAULT is honored too, so servers
-//                a driver spawns for verify_workers inherit it): mode one
-//                of crash (exit 134 on task), garbage (answer a task with
-//                an unauthenticated frame), hang (never answer), close
-//                (drop the connection mid-shard), wrongshard (answer with a
-//                well-formed result for the wrong shard identity),
-//                staledigest (ack the setup with a wrong digest). Applies
-//                when <id|all> matches --id.
+// --fault        test hook: mode one of crash (exit 134 on task), garbage
+//                (answer a task with an unauthenticated frame), hang (never
+//                answer), close (drop the connection mid-shard), wrongshard
+//                (answer with a well-formed result for the wrong shard
+//                identity), staledigest (ack the setup with a wrong
+//                digest). Applies when <id|all> matches --id.
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
@@ -600,12 +598,7 @@ int ServerMain(int argc, char** argv) {
     g_metrics_log->Header(header);
   }
 
-  FaultMode fault = ParseFault(fault_spec, server_id);
-  if (fault == FaultMode::kNone) {
-    if (const char* env = std::getenv("VDP_SERVER_FAULT")) {
-      fault = ParseFault(env, server_id);
-    }
-  }
+  const FaultMode fault = ParseFault(fault_spec, server_id);
   g_state.server_id = server_id;
 
   // Block SIGTERM/SIGINT process-wide BEFORE any thread spawns (threads
