@@ -131,8 +131,8 @@ int RunMatrix(vdp::obs::RunLogWriter* log, const std::vector<size_t>& pool_sizes
         }
 
         // The streaming lifecycle on the all-cores rows: same corpus fed in
-        // 512-upload chunks through the bounded-window dispatcher
-        // (Start/Submit/Finish), so the cost of streaming vs one-shot is a
+        // 512-upload chunks through the bounded in-flight window
+        // (Start/AddBulk/Finish), so the cost of streaming vs one-shot is a
         // row pair in the same log. "+stream" rows are new relative to the
         // committed baselines, which only pins the one-shot rows.
         if (pool_size == hw) {
@@ -142,7 +142,7 @@ int RunMatrix(vdp::obs::RunLogWriter* log, const std::vector<size_t>& pool_sizes
             const size_t to = std::min(uploads.size(), from + 512);
             std::vector<vdp::ClientUploadMsg<G>> chunk(uploads.begin() + from,
                                                        uploads.begin() + to);
-            backend->Submit(std::move(chunk));
+            backend->AddBulk(std::move(chunk));
           }
           auto streamed = backend->Finish();
           const double stream_ms = timer.ElapsedMillis();

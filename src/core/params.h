@@ -79,9 +79,9 @@ struct ProtocolConfig {
   // process, so the verdict never depends on fleet health.
   std::vector<std::string> remote_verifiers;
 
-  // Streaming ingest knobs (src/shard/stream_dispatch.h), honored by every
+  // Streaming ingest knobs (src/verify/backend.h), honored by every
   // backend (per-proof, sharded, remote). stream_shard_capacity is the
-  // number of uploads per sealed shard; 0 picks the dispatcher default
+  // number of uploads per sealed shard; 0 picks the backend default
   // (1024, sized for MSM efficiency). stream_max_inflight_shards bounds
   // shards cut but not yet retired (queued + executing): Add() blocks while
   // the window is full, capping resident memory at roughly

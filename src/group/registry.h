@@ -1,8 +1,8 @@
 // The registry of compiled-in groups: one list, consumed everywhere a
-// process needs "every group" -- tools/gen_params' `list` subcommand, the
-// wire-level dispatcher (src/wire/group_dispatch.h), the differential
-// group-law test harness, and the conformance suite's VDP_GROUP hook. Adding
-// a group here is the single step that makes it reachable from all of them.
+// process needs "every group" -- tools/gen_params' `list` subcommand,
+// verify_server's setup-frame dispatch, the differential group-law test
+// harness, and the conformance suite's VDP_GROUP hook. Adding a group here
+// is the single step that makes it reachable from all of them.
 #ifndef SRC_GROUP_REGISTRY_H_
 #define SRC_GROUP_REGISTRY_H_
 

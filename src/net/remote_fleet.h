@@ -4,9 +4,9 @@
 // ShardResults into the same deterministic combiner as every other path.
 // MakeVerifyBackend (src/verify/factory.h) runs it as the "remote" backend.
 //
-// Topology: the streaming dispatcher (src/shard/stream_dispatch.h) runs one
-// lane per configured endpoint, each owning one persistent connection to its
-// verifier; shards flow to lanes as the dispatcher seals them, so remote
+// Topology: the verify backend (src/verify/backend.h) runs one lane per
+// configured endpoint, each owning one persistent connection to its
+// verifier; shards flow to lanes as the backend seals them, so remote
 // machines verify while the driver is still ingesting. The fleet is
 // ProtocolConfig::remote_verifiers; the executor starts no servers of its
 // own (tests and benches stand one up with net::LoopbackFleet). Failure
@@ -45,7 +45,7 @@
 #include "src/net/remote_conn.h"
 #include "src/net/socket.h"
 #include "src/shard/shard_result.h"
-#include "src/shard/stream_dispatch.h"
+#include "src/shard/shard_executor.h"
 #include "src/wire/wire_convert.h"
 
 namespace vdp {
@@ -125,8 +125,9 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
 
   size_t lanes() const override { return lanes_.size(); }
 
-  void BeginStream(obs::TraceCollector* tracer, obs::TraceContext verify_ctx) override {
-    ShardExecutor<G>::BeginStream(tracer, verify_ctx);
+  void BeginStream(ThreadPool* pool, size_t shards, obs::TraceCollector* tracer,
+                   obs::TraceContext verify_ctx) override {
+    ShardExecutor<G>::BeginStream(pool, shards, tracer, verify_ctx);
     net::IgnoreSigpipe();  // a write into a dead verifier must fail with EPIPE
     for (LaneState& lane : lanes_) {
       net::CloseRemoteConn(&lane.conn);
@@ -178,7 +179,7 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
   }
 
  private:
-  // Per-lane transport state. Touched only by the lane's dispatcher thread
+  // Per-lane transport state. Touched only by the lane's own thread
   // (between BeginStream and CloseLane), so no locking.
   struct LaneState {
     net::RemoteConn conn;

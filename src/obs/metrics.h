@@ -59,7 +59,7 @@ inline constexpr const char* kVerifyShardMs = "verify.shard_ms";
 // Sub-batch MSMs the blame search runs when a batch check fails
 // (OrBatch::Blame, src/batch/batch_or_proof.h).
 inline constexpr const char* kVerifyBisectBatches = "verify.bisect_batches";
-// Streaming-pipeline state (src/shard/stream_dispatch.h): gauge max() is the
+// Streaming-pipeline state (src/verify/backend.h): gauge max() is the
 // stream's high-water mark, which is what bounds resident memory.
 inline constexpr const char* kStreamInflightShards = "stream.inflight_shards";
 inline constexpr const char* kStreamBufferedUploads = "stream.buffered_uploads";

@@ -1,8 +1,8 @@
 // The shard compute core: verify one contiguous shard of the upload stream
 // and deterministically combine per-shard outcomes into a VerifyReport.
 //
-// Every execution layer -- the in-process streaming dispatcher
-// (stream_dispatch.h), the remote socket fleet (src/net/remote_fleet.h),
+// Every execution layer -- the in-process executor (shard_executor.h),
+// the remote socket fleet (src/net/remote_fleet.h),
 // and the verify_server daemons themselves -- shares one implementation of
 // the batched validation algorithm and one combiner. Guarantees:
 //

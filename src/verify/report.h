@@ -96,7 +96,7 @@ inline constexpr const char* kStageVerify = "verify";
 inline constexpr const char* kStageCombine = "combine";
 
 // Wall-clock cost of the pipeline stages every backend has: ingesting the
-// stream (Add/Submit buffering), verifying uploads (structural checks +
+// stream (Add/AddBulk buffering), verifying uploads (structural checks +
 // proof checks, however parallelized -- for the remote backend this is the
 // whole fleet drive, wire cost included), and
 // combining per-shard results into the global report. total_ms is the
@@ -122,10 +122,9 @@ struct VerifyTimings {
 // that want to watch a long ingest (progress bars, soak harnesses, the
 // run-log). All counters are monotone within one stream except
 // inflight_shards/buffered_uploads, which rise and fall with the
-// backpressure window. Buffered backends report only what they have
-// ingested; streaming backends report real pipeline state.
+// backpressure window. Every counter reads zero outside a stream.
 struct VerifyProgress {
-  size_t uploads_ingested = 0;   // Add/Submit calls so far
+  size_t uploads_ingested = 0;   // uploads Added so far
   size_t shards_cut = 0;         // contiguous shards sealed from the stream
   size_t shards_done = 0;        // shards reduced to a compact ShardResult
   size_t inflight_shards = 0;    // cut but not yet reduced (queued + executing)

@@ -1,12 +1,12 @@
 // The fleet driver under adversarial interleavings, written for the tsan CI
 // job: the remote socket fleet executes a streamed run while other threads
-// read Progress/PartialReport and the fleet-health report mid-stream, a
+// read Progress and the fleet-health report mid-stream, a
 // close-faulted server turns every one of its shards into a reconnect -- a
 // reconnect storm with concurrent observers -- and the remote backend
 // streams to a loopback fleet under an observer.
 // Verdicts must still match the deterministic expectation; under
 // ThreadSanitizer any unsynchronized access in the executors' shared report
-// state or the dispatcher is a hard failure.
+// state or the backend's stream is a hard failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -48,37 +48,28 @@ std::vector<ClientUploadMsg<G>> Corpus(const ProtocolConfig& config,
   return uploads;
 }
 
-// Streams `uploads` through `executor` while monitor threads hammer the
-// observer API and a report thief calls read_report() concurrently.
-template <typename ReadReportFn>
-VerifyReport<G> StreamWithObservers(const ProtocolConfig& config,
-                                    ShardExecutor<G>* executor,
-                                    std::vector<ClientUploadMsg<G>> uploads,
-                                    const ReadReportFn& read_report) {
-  StreamDispatchOptions options;
-  options.shard_capacity = 3;
-  options.max_inflight_shards = 2;
-  options.compute_products = true;
-  StreamDispatcher<G> dispatcher(config, executor, options);
-
+// Streams `uploads` through `backend` while a monitor thread hammers
+// Progress() and a report thief reads the fleet-health report concurrently.
+VerifyReport<G> StreamWithObservers(VerifyBackend<G>* backend,
+                                    std::vector<ClientUploadMsg<G>> uploads) {
+  backend->Start(VerifyOptions{});
   std::atomic<bool> stop{false};
   std::thread monitor([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const VerifyProgress p = dispatcher.Progress();
+      const VerifyProgress p = backend->Progress();
       EXPECT_LE(p.shards_done, p.shards_cut);
-      (void)dispatcher.PartialReport();
     }
   });
   std::thread thief([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      read_report();
+      (void)backend->last_fleet_report();
     }
   });
 
   for (ClientUploadMsg<G>& upload : uploads) {
-    dispatcher.Add(std::move(upload));
+    backend->Add(std::move(upload));
   }
-  VerifyReport<G> report = dispatcher.Finish();
+  VerifyReport<G> report = backend->Finish();
   stop.store(true, std::memory_order_release);
   monitor.join();
   thief.join();
@@ -94,6 +85,8 @@ void ExpectVerdict(const VerifyReport<G>& report, size_t n) {
 TEST(FleetStressTest, RemoteFleetReconnectStormWithConcurrentObservers) {
   net::LoopbackFleet fleet(2, /*fault=*/"close:0");  // server 0 drops every task
   ProtocolConfig config = BaseConfig();
+  config.stream_shard_capacity = 3;
+  config.stream_max_inflight_shards = 2;
   fleet.ApplyTo(&config);
   Pedersen<G> ped;
   auto uploads = Corpus(config, ped, 15);
@@ -104,31 +97,8 @@ TEST(FleetStressTest, RemoteFleetReconnectStormWithConcurrentObservers) {
   options.shard_timeout_ms = 10'000;
   options.reconnect_backoff_ms = 1;
   options.max_attempts_per_shard = 3;
-  RemoteVerifierFleet<G> verifier(config, ped, options);
-  VerifyReport<G> report = StreamWithObservers(
-      config, &verifier, std::move(uploads), [&verifier] { (void)verifier.Report(); });
-  ExpectVerdict(report, 15);
-}
-
-// Streams `uploads` through the public backend API the way a server
-// frontend would: Add on this thread, Progress from a monitor thread.
-VerifyReport<G> BackendStreamWithObserver(VerifyBackend<G>* backend,
-                                          std::vector<ClientUploadMsg<G>> uploads) {
-  backend->Start(VerifyOptions{});
-  std::atomic<bool> stop{false};
-  std::thread monitor([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const VerifyProgress p = backend->Progress();
-      EXPECT_LE(p.shards_done, p.shards_cut);
-    }
-  });
-  for (ClientUploadMsg<G>& upload : uploads) {
-    backend->Add(std::move(upload));
-  }
-  VerifyReport<G> report = backend->Finish();
-  stop.store(true, std::memory_order_release);
-  monitor.join();
-  return report;
+  auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped, options);
+  ExpectVerdict(StreamWithObservers(backend.get(), std::move(uploads)), 15);
 }
 
 TEST(FleetStressTest, RemoteBackendProgressWhileStreaming) {
@@ -140,7 +110,7 @@ TEST(FleetStressTest, RemoteBackendProgressWhileStreaming) {
   auto uploads = Corpus(config, ped, 12);
 
   auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped);
-  ExpectVerdict(BackendStreamWithObserver(backend.get(), std::move(uploads)), 12);
+  ExpectVerdict(StreamWithObservers(backend.get(), std::move(uploads)), 12);
   const RemoteFleetReport report = backend->last_fleet_report();
   EXPECT_EQ(report.shards_from_remote, report.shards_total);
   EXPECT_TRUE(report.failures.empty()) << "first failure: " << report.failures[0].reason;

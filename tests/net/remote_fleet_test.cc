@@ -340,7 +340,7 @@ TEST_F(RemoteFleetTest, DeadEndpointsAreSkippedAtDispatchVerdictUnchanged) {
     shard.view_count = count;
     return shard;
   };
-  verifier.BeginStream(nullptr, {});
+  verifier.BeginStream(nullptr, 0, nullptr, {});
   auto live = verifier.ExecuteShard(0, slice(0, 0, 7));
   auto dead = verifier.ExecuteShard(1, slice(1, 7, 7));
   verifier.CloseLane(0);

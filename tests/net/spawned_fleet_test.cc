@@ -140,7 +140,7 @@ TEST_F(SpawnedFleetTest, CrashedServerIsBlamedAndShardRecovered) {
   ProtocolConfig config = PoolConfig(/*shards=*/2);
   fleet.ApplyTo(&config);
   RemoteVerifierFleet<G> verifier(config, ped_);
-  verifier.BeginStream(nullptr, {});
+  verifier.BeginStream(nullptr, 0, nullptr, {});
   auto crashed = verifier.ExecuteShard(0, Slice(uploads_, 0, 0, 32));
   auto healthy = verifier.ExecuteShard(1, Slice(uploads_, 1, 32, 32));
   verifier.CloseLane(0);

@@ -1,20 +1,20 @@
-// Adversarial interleavings for the streaming dispatcher, written for the
-// tsan CI job (-DVDP_TSAN=ON): monitor threads hammer the documented
-// any-thread-safe observer API (Progress / PartialReport / the backpressure
-// getters) while a producer drives streams through Add / Finish / Abort at
-// full speed. Functionally the tests assert the fake-executor verdict, but
-// their real teeth are under ThreadSanitizer, where the pre-fix
-// Finish()-vs-Progress() race on the dispatcher's shared state (ResetState
-// and the last_backpressure handoff mutated without mu_) fails every one of
-// them deterministically.
+// Adversarial interleavings for VerifyBackend's stream, written for the
+// tsan CI job (-DVDP_TSAN=ON): monitor threads hammer Progress(), the
+// backend's any-thread-safe observer, while a producer drives streams
+// through Add / Finish / Start and one-shot VerifyAll runs at full speed.
+// Functionally the tests assert the fake-executor verdict, but their real
+// teeth are under ThreadSanitizer, where any read or reset of the stream's
+// shared state outside the backend's mutex (Finish's reset racing a
+// monitor, a lane retiring a shard during the teardown) is a hard failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "src/shard/stream_dispatch.h"
+#include "src/verify/backend.h"
 
 namespace vdp {
 namespace {
@@ -54,10 +54,19 @@ class FakeExecutor final : public ShardExecutor<G> {
   int sleep_us_;
 };
 
-StreamDispatchOptions NoProducts(size_t capacity, size_t window) {
-  StreamDispatchOptions options;
-  options.shard_capacity = capacity;
-  options.max_inflight_shards = window;
+// A backend that owns `executor`, with `capacity`-upload stream shards, a
+// `window`-shard in-flight window and `one_shot_shards` for VerifyAll.
+std::unique_ptr<VerifyBackend<G>> FakeBackend(FakeExecutor* executor, size_t capacity,
+                                              size_t window, size_t one_shot_shards = 1) {
+  ProtocolConfig config;
+  config.stream_shard_capacity = capacity;
+  config.stream_max_inflight_shards = window;
+  return std::make_unique<VerifyBackend<G>>(
+      "fake", config, std::unique_ptr<ShardExecutor<G>>(executor), one_shot_shards);
+}
+
+VerifyOptions NoProducts() {
+  VerifyOptions options;
   options.compute_products = false;
   return options;
 }
@@ -71,111 +80,127 @@ void ExpectFakeVerdict(const VerifyReport<G>& report, size_t n) {
   EXPECT_EQ(report.total_uploads, n);
 }
 
-// Spins observer threads against a dispatcher until `stop` flips. Every
-// observer entry point is exercised, including the cross-stream getters.
-std::vector<std::thread> StartMonitors(StreamDispatcher<G>* dispatcher,
+// Spins observer threads against a backend until `stop` flips.
+std::vector<std::thread> StartMonitors(const VerifyBackend<G>* backend,
                                        std::atomic<bool>* stop, size_t n = 2) {
   std::vector<std::thread> monitors;
   monitors.reserve(n);
   for (size_t m = 0; m < n; ++m) {
-    monitors.emplace_back([dispatcher, stop] {
+    monitors.emplace_back([backend, stop] {
       while (!stop->load(std::memory_order_acquire)) {
-        const VerifyProgress p = dispatcher->Progress();
-        // Internal consistency only: the snapshot may straddle stream
-        // boundaries, but a snapshot itself must never tear.
+        const VerifyProgress p = backend->Progress();
+        // Internal consistency only: successive snapshots may straddle
+        // stream boundaries, but a snapshot itself must never tear.
         EXPECT_LE(p.shards_done, p.shards_cut);
-        const VerifyReport<G> partial = dispatcher->PartialReport();
-        EXPECT_LE(partial.accepted.size() + partial.rejections.size(),
-                  p.uploads_ingested + partial.total_uploads);
-        (void)dispatcher->backpressure_wait_ms();
-        (void)dispatcher->last_backpressure_wait_ms();
+        EXPECT_EQ(p.shards_done + p.inflight_shards, p.shards_cut);
+        EXPECT_EQ(p.accepted_so_far + p.rejected_so_far + p.buffered_uploads,
+                  p.uploads_ingested);
       }
     });
   }
   return monitors;
 }
 
-// The minimized regression for the PR-9 TSan fix: Finish() used to move
-// results_ out, stamp last_backpressure_wait_ms_, and ResetState() -- all
-// without mu_ -- while Progress()/PartialReport() read the same fields under
-// the lock from other threads. Rapid back-to-back streams make the window
-// between CloseAndJoin and the next stream's first Add wide enough that the
-// monitors always land in it.
+void StopMonitors(std::vector<std::thread>* monitors, std::atomic<bool>* stop) {
+  stop->store(true, std::memory_order_release);
+  for (std::thread& t : *monitors) {
+    t.join();
+  }
+}
+
+// Finish() moves the lanes' results out and resets the stream state while
+// monitors read the same state under the lock from other threads. Rapid
+// back-to-back streams make the gap between the lanes joining and the next
+// stream's first Add wide enough that the monitors always land in it.
 TEST(StreamDispatchStressTest, MonitorsRaceFinishAcrossStreams) {
-  ProtocolConfig config;
-  FakeExecutor executor(/*lanes=*/2);
-  StreamDispatcher<G> dispatcher(config, &executor, NoProducts(3, 2));
+  auto backend = FakeBackend(new FakeExecutor(/*lanes=*/2), 3, 2);
+  backend->Start(NoProducts());
   std::atomic<bool> stop{false};
-  std::vector<std::thread> monitors = StartMonitors(&dispatcher, &stop);
+  std::vector<std::thread> monitors = StartMonitors(backend.get(), &stop);
 
   for (size_t stream = 0; stream < 40; ++stream) {
     const size_t n = 10 + (stream % 13);
     for (size_t i = 0; i < n; ++i) {
-      dispatcher.Add(ClientUploadMsg<G>{});
+      backend->Add(ClientUploadMsg<G>{});
     }
-    VerifyReport<G> report = dispatcher.Finish();
+    VerifyReport<G> report = backend->Finish();
     ExpectFakeVerdict(report, n);
   }
 
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : monitors) {
-    t.join();
-  }
+  StopMonitors(&monitors, &stop);
 }
 
-// Abort()'s tail also resets shared state after the lanes drain; monitors
-// must never observe the teardown half-done. Alternates aborted and finished
-// streams to cover the reuse path both ways.
+// Start() discards an open stream: it drops the queued shards, joins lanes
+// that are still executing, and resets the shared state; monitors must never
+// observe the teardown half-done. Alternates discarded and finished streams
+// to cover the reuse path both ways.
 TEST(StreamDispatchStressTest, MonitorsRaceAbortAndReuse) {
-  ProtocolConfig config;
-  FakeExecutor executor(/*lanes=*/2, /*sleep_us=*/200);
-  StreamDispatcher<G> dispatcher(config, &executor, NoProducts(2, 2));
+  auto backend = FakeBackend(new FakeExecutor(/*lanes=*/2, /*sleep_us=*/200), 2, 2);
   std::atomic<bool> stop{false};
-  std::vector<std::thread> monitors = StartMonitors(&dispatcher, &stop);
+  std::vector<std::thread> monitors = StartMonitors(backend.get(), &stop);
 
   for (size_t round = 0; round < 25; ++round) {
+    backend->Start(NoProducts());
     for (size_t i = 0; i < 9; ++i) {
-      dispatcher.Add(ClientUploadMsg<G>{});
+      backend->Add(ClientUploadMsg<G>{});
     }
-    dispatcher.Abort();
+    backend->Start(NoProducts());
     const size_t n = 6 + (round % 5);
     for (size_t i = 0; i < n; ++i) {
-      dispatcher.Add(ClientUploadMsg<G>{});
+      backend->Add(ClientUploadMsg<G>{});
     }
-    VerifyReport<G> report = dispatcher.Finish();
+    VerifyReport<G> report = backend->Finish();
     ExpectFakeVerdict(report, n);
   }
 
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : monitors) {
-    t.join();
-  }
+  StopMonitors(&monitors, &stop);
 }
 
 // Backpressure path under observation: a window of 1 against a slow lane
-// keeps the producer parked in Enqueue's wait (which accumulates
-// backpressure_wait_ms_ under mu_) while monitors read the same accumulator
-// through the getters.
+// keeps the producer parked in Enqueue's wait (which accumulates the wait
+// under the mutex) while monitors read the same accumulator.
 TEST(StreamDispatchStressTest, MonitorsRaceBackpressureWait) {
-  ProtocolConfig config;
-  FakeExecutor executor(/*lanes=*/1, /*sleep_us=*/500);
-  StreamDispatcher<G> dispatcher(config, &executor, NoProducts(1, 1));
+  auto backend = FakeBackend(new FakeExecutor(/*lanes=*/1, /*sleep_us=*/500), 1, 1);
+  backend->Start(NoProducts());
   std::atomic<bool> stop{false};
-  std::vector<std::thread> monitors = StartMonitors(&dispatcher, &stop);
+  std::vector<std::thread> monitors = StartMonitors(backend.get(), &stop);
 
   for (size_t stream = 0; stream < 4; ++stream) {
     for (size_t i = 0; i < 30; ++i) {
-      dispatcher.Add(ClientUploadMsg<G>{});
+      backend->Add(ClientUploadMsg<G>{});
     }
-    VerifyReport<G> report = dispatcher.Finish();
+    EXPECT_GT(backend->Progress().backpressure_wait_ms, 0.0);
+    VerifyReport<G> report = backend->Finish();
     ExpectFakeVerdict(report, 30);
-    EXPECT_GT(dispatcher.last_backpressure_wait_ms(), 0.0);
   }
 
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : monitors) {
-    t.join();
+  StopMonitors(&monitors, &stop);
+}
+
+// One backend, two paths: the producer alternates one-shot VerifyAll runs
+// with streamed Add/Finish while monitors poll Progress(). Both paths open,
+// drain and reset the same stream state, and a VerifyAll also discards the
+// stream left open before it.
+TEST(StreamDispatchStressTest, MonitorsRaceVerifyAllAndStreams) {
+  auto backend = FakeBackend(new FakeExecutor(/*lanes=*/2, /*sleep_us=*/100), 2, 2,
+                             /*one_shot_shards=*/3);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> monitors = StartMonitors(backend.get(), &stop);
+
+  for (size_t round = 0; round < 30; ++round) {
+    std::vector<ClientUploadMsg<G>> uploads(7 + (round % 9));
+    ExpectFakeVerdict(backend->VerifyAll(uploads, NoProducts()), uploads.size());
+    const size_t n = 5 + (round % 11);
+    for (size_t i = 0; i < n; ++i) {
+      backend->Add(ClientUploadMsg<G>{});
+    }
+    if (round % 3 == 2) {
+      continue;  // left open: the next VerifyAll discards it
+    }
+    ExpectFakeVerdict(backend->Finish(), n);
   }
+
+  StopMonitors(&monitors, &stop);
 }
 
 }  // namespace

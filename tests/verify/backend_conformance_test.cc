@@ -202,8 +202,8 @@ struct Suite {
     EXPECT_EQ(after.total_uploads, 0u);
   }
 
-  // Randomized streaming interleavings: any mix of Add, moved-out Submit, and
-  // AddBulk over the adversarial corpus, under randomly small stream windows
+  // Randomized streaming interleavings: any mix of Add and moved-out AddBulk
+  // chunks over the adversarial corpus, under randomly small stream windows
   // (where backpressure actually engages) and capacities that land the
   // tampered uploads on different shard boundaries every round, must still be
   // bit-identical to the one-shot verdict. The RNG is seeded per backend, so a
@@ -226,19 +226,14 @@ struct Suite {
       backend->Start(VerifyOptions{});
       size_t i = 0;
       while (i < uploads.size()) {
-        const uint32_t pick = rng() % 3;
-        if (pick == 0) {
+        if (rng() % 3 == 0) {
           backend->Add(uploads[i]);
           ++i;
         } else {
           const size_t len = std::min<size_t>(1 + rng() % 5, uploads.size() - i);
           std::vector<ClientUploadMsg<G>> chunk(uploads.begin() + i,
                                                 uploads.begin() + i + len);
-          if (pick == 1) {
-            backend->Submit(std::move(chunk));  // the rvalue fast path
-          } else {
-            backend->AddBulk(std::move(chunk));
-          }
+          backend->AddBulk(std::move(chunk));
           i += len;
         }
       }

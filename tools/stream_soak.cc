@@ -1,6 +1,6 @@
 // stream_soak: the bounded-memory streaming soak behind the stream-1m CI
 // job. Generates --uploads client bundles one chunk at a time, feeds them
-// into a streaming VerifyBackend through the rvalue Submit fast path while
+// into a streaming VerifyBackend through AddBulk (no per-upload copies) while
 // an incremental per-proof oracle (ValidateClientUpload + a running product
 // fold) scores the same uploads in this process, then fails loudly if
 //
@@ -8,7 +8,7 @@
 //     commitment products) differs from the oracle in any bit, or
 //   * the process's peak RSS (VmHWM) exceeds --rss-limit-mb.
 //
-// The point is the conjunction: the stream dispatcher's in-flight window is
+// The point is the conjunction: the backend's in-flight window is
 // only worth having if the verdict stays bit-identical to the buffered
 // per-proof path while memory stays flat, no matter how long the stream
 // runs or how the fleet misbehaves (--fault injects verify_server faults
@@ -48,7 +48,7 @@ struct SoakArgs {
   size_t uploads = 1'000'000;
   std::string backend = "sharded";
   size_t shard_capacity = 4096;
-  size_t window = 0;  // 0 = dispatcher default (two shards per lane)
+  size_t window = 0;  // 0 = backend default (two shards per lane)
   size_t endpoints = 2;
   std::string fault;
   size_t tamper_every = 0;  // 0 = clean stream
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
       oracle.Score(upload, index, config, ped);
       chunk.push_back(std::move(upload));
     }
-    backend->Submit(std::move(chunk));
+    backend->AddBulk(std::move(chunk));
     if ((base + count) % progress_stride < kChunk || base + count == args.uploads) {
       const vdp::VerifyProgress p = backend->Progress();
       std::printf("  %9zu ingested  shards cut=%zu done=%zu inflight=%zu "

@@ -73,12 +73,12 @@
 #include "src/common/bytes.h"
 #include "src/common/hex.h"
 #include "src/common/rng.h"
+#include "src/group/registry.h"
 #include "src/net/auth.h"
 #include "src/net/introspect.h"
 #include "src/net/socket.h"
 #include "src/obs/runlog.h"
 #include "src/shard/shard_result.h"
-#include "src/wire/group_dispatch.h"
 #include "src/wire/wire_convert.h"
 
 namespace vdp {
@@ -423,7 +423,7 @@ void ServeConnection(int fd, Bytes auth_key, size_t server_id, FaultMode fault) 
   FlushMetrics();  // one counters snapshot per session start
 
   g_state.active_sessions.fetch_add(1, std::memory_order_relaxed);
-  bool known_group = wire::DispatchGroup(setup->group_name, [&](auto tag) {
+  bool known_group = DispatchRegisteredGroup(setup->group_name, [&](auto tag) {
     using G = typename decltype(tag)::Group;
     ServeTasks<G>(&channel, *setup, fault);
   });
