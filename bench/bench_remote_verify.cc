@@ -88,11 +88,6 @@ int main() {
 
   std::printf("spawning loopback verify_server fleet...\n");
   vdp::net::LoopbackFleet fleet(4);
-  if (fleet.servers().size() != 4) {
-    std::fprintf(stderr, "FATAL: could not spawn the loopback fleet "
-                 "(is verify_server next to this binary?)\n");
-    return 1;
-  }
 
   vdp::ThreadPool& pool = vdp::GlobalPool();
   vdp::Stopwatch timer;
@@ -160,10 +155,6 @@ int main() {
   {
     std::printf("-- scenario: traced-faulty (3 servers, server 0 wrongshard) --\n");
     vdp::net::LoopbackFleet faulty(3, /*fault=*/"wrongshard:0");
-    if (faulty.servers().size() != 3) {
-      std::fprintf(stderr, "FATAL: could not spawn the faulty fleet\n");
-      return 1;
-    }
     vdp::ProtocolConfig remote_config = config;
     faulty.ApplyTo(&remote_config);
 

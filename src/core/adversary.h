@@ -27,7 +27,8 @@ class NonBitCoinProver : public Prover<G> {
     auto c = this->ped_.Commit(Scalar::FromU64(2), r);
     msg.coin_commitments[0][0] = c;
     msg.coin_proofs[0][0] =
-        OrProve(this->ped_, c, 0, r, this->rng_, this->CoinProofContext(0) + "/0");
+        OrProve(this->ped_, c, 0, r, this->rng_,
+                CoinProofContext(this->config_.session_id, this->index_, 0) + "/0");
     // Keep internal state consistent with the lie so the final message also
     // uses v = 2 (both checks must catch it regardless).
     this->private_bits_[0][0] = 2;

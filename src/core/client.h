@@ -32,6 +32,15 @@ inline std::string ClientProofContext(const std::string& session_id, size_t clie
   return session_id + "/client/" + std::to_string(client_index) + "/bin/" + std::to_string(bin);
 }
 
+// Fiat-Shamir context for prover k's bin-m coin validity proofs; coin j's
+// proof is bound to this context + "/j". The prover and the verifier must
+// build the same string, so both call this.
+inline std::string CoinProofContext(const std::string& session_id, size_t prover_index,
+                                    size_t bin) {
+  return session_id + "/prover/" + std::to_string(prover_index) + "/coins/bin/" +
+         std::to_string(bin);
+}
+
 // Builds an honest client's messages. For M == 1, `choice` is the bit value
 // (0 or 1); for M > 1, `choice` selects the one-hot bin and must be < M.
 template <PrimeOrderGroup G>

@@ -69,8 +69,8 @@ class Prover {
       ForEachIndex(pool, nb, [&](size_t j) {
         cs[j] = ped_.Commit(Scalar::FromU64(static_cast<uint64_t>(bits[j])), rs[j]);
       });
-      msg.coin_proofs[bin] =
-          OrProveBatch(ped_, cs, bits, rs, rng_, CoinProofContext(bin), pool);
+      msg.coin_proofs[bin] = OrProveBatch(ped_, cs, bits, rs, rng_,
+                                          CoinProofContext(config_.session_id, index_, bin), pool);
       msg.coin_commitments[bin] = std::move(cs);
       private_bits_[bin] = std::move(bits);
       coin_randomness_[bin] = std::move(rs);
@@ -119,11 +119,6 @@ class Prover {
       out.z[bin] = z;
     }
     return out;
-  }
-
-  std::string CoinProofContext(size_t bin) const {
-    return config_.session_id + "/prover/" + std::to_string(index_) + "/coins/bin/" +
-           std::to_string(bin);
   }
 
  protected:

@@ -78,7 +78,7 @@ class PublicVerifier {
       std::vector<OrInstance<G>> instances;
       instances.reserve(bins * nb);
       for (size_t bin = 0; bin < bins; ++bin) {
-        std::string context = CoinProofContext(prover_index, bin);
+        std::string context = CoinProofContext(config_.session_id, prover_index, bin);
         for (size_t j = 0; j < nb; ++j) {
           instances.push_back({msg.coin_commitments[bin][j], msg.coin_proofs[bin][j],
                                context + "/" + std::to_string(j)});
@@ -88,7 +88,7 @@ class PublicVerifier {
     }
     for (size_t bin = 0; bin < bins; ++bin) {
       if (!OrVerifyBatch(ped_, msg.coin_commitments[bin], msg.coin_proofs[bin],
-                         CoinProofContext(prover_index, bin), pool)) {
+                         CoinProofContext(config_.session_id, prover_index, bin), pool)) {
         return false;
       }
     }
@@ -156,11 +156,6 @@ class PublicVerifier {
     lhs = G::Mul(lhs, G::Mul(ped_.Commit(Scalar::FromU64(num_flipped), Scalar::Zero()),
                              G::Inverse(flipped)));
     return lhs == ped_.Commit(output.y[bin], output.z[bin]);
-  }
-
-  std::string CoinProofContext(size_t prover_index, size_t bin) const {
-    return config_.session_id + "/prover/" + std::to_string(prover_index) + "/coins/bin/" +
-           std::to_string(bin);
   }
 
   ProtocolConfig config_;

@@ -1,11 +1,6 @@
 #include "src/net/health.h"
 
-#include <algorithm>
-#include <chrono>
-#include <utility>
-
 #include "src/common/bytes.h"
-#include "src/common/rng.h"
 
 namespace vdp {
 namespace net {
@@ -41,10 +36,7 @@ HealthRegistry::HealthRegistry(HealthPolicy policy, obs::MetricsRegistry* metric
 
 void HealthRegistry::AddEndpoint(const std::string& endpoint) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = endpoints_[endpoint];
-  if (entry.status.endpoint.empty()) {
-    entry.status.endpoint = endpoint;
-  }
+  EntryLocked(endpoint);
   RefreshGaugesLocked();
 }
 
@@ -58,10 +50,7 @@ void HealthRegistry::ReportProbeSuccess(const std::string& endpoint,
                                         const wire::WireHealthReply& reply,
                                         uint64_t rtt_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = endpoints_[endpoint];
-  if (entry.status.endpoint.empty()) {
-    entry.status.endpoint = endpoint;
-  }
+  EndpointStatus& entry = EntryLocked(endpoint);
   metrics_->GetCounter(obs::kHealthProbes)->Increment();
   metrics_->GetHistogram(obs::kHealthProbeRttUs)->Record(static_cast<double>(rtt_us));
 
@@ -80,20 +69,20 @@ void HealthRegistry::ReportProbeSuccess(const std::string& endpoint,
   // Uptime going backwards means the process restarted between probes. It
   // answers fine, but it re-enters through recovering like any resurrection.
   const bool restarted =
-      entry.status.last_uptime_ms != 0 && reply.uptime_ms < entry.status.last_uptime_ms;
-  entry.status.server_id = reply.server_id;
-  entry.status.last_uptime_ms = reply.uptime_ms;
-  entry.status.last_rtt_us = rtt_us;
-  entry.status.inflight_shards = reply.inflight_shards;
-  entry.status.queue_depth = reply.queue_depth;
+      entry.last_uptime_ms != 0 && reply.uptime_ms < entry.last_uptime_ms;
+  entry.server_id = reply.server_id;
+  entry.last_uptime_ms = reply.uptime_ms;
+  entry.last_rtt_us = rtt_us;
+  entry.inflight_shards = reply.inflight_shards;
+  entry.queue_depth = reply.queue_depth;
   if (restarted) {
-    ++entry.status.restarts_seen;
+    ++entry.restarts_seen;
     metrics_->GetCounter(obs::kHealthRestartsSeen)->Increment();
-    entry.status.consecutive_failures = 0;
-    entry.status.consecutive_successes = 1;  // this probe counts
-    ++entry.status.probes;
-    entry.status.last_error.clear();
-    if (entry.status.state != EndpointHealth::kRecovering) {
+    entry.consecutive_failures = 0;
+    entry.consecutive_successes = 1;  // this probe counts
+    ++entry.probes;
+    entry.last_error.clear();
+    if (entry.state != EndpointHealth::kRecovering) {
       TransitionLocked(&entry, EndpointHealth::kRecovering);
     }
     RefreshGaugesLocked();
@@ -106,10 +95,7 @@ void HealthRegistry::ReportProbeSuccess(const std::string& endpoint,
 void HealthRegistry::ReportProbeFailure(const std::string& endpoint,
                                         const std::string& reason) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = endpoints_[endpoint];
-  if (entry.status.endpoint.empty()) {
-    entry.status.endpoint = endpoint;
-  }
+  EndpointStatus& entry = EntryLocked(endpoint);
   metrics_->GetCounter(obs::kHealthProbes)->Increment();
   metrics_->GetCounter(obs::kHealthProbeFailures)->Increment();
   ApplyOutcome(&entry, /*success=*/false, reason);
@@ -117,27 +103,29 @@ void HealthRegistry::ReportProbeFailure(const std::string& endpoint,
 }
 
 EndpointHealth HealthRegistry::State(const std::string& endpoint) const {
+  return Status(endpoint).state;
+}
+
+EndpointStatus HealthRegistry::Status(const std::string& endpoint) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = endpoints_.find(endpoint);
-  return it == endpoints_.end() ? EndpointHealth::kHealthy : it->second.status.state;
-}
-
-bool HealthRegistry::Dispatchable(const std::string& endpoint) const {
-  return State(endpoint) != EndpointHealth::kDead;
-}
-
-std::vector<EndpointStatus> HealthRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<EndpointStatus> out;
-  out.reserve(endpoints_.size());
-  for (const auto& [name, entry] : endpoints_) {
-    out.push_back(entry.status);
+  if (it == endpoints_.end()) {
+    EndpointStatus unknown;
+    unknown.endpoint = endpoint;
+    return unknown;
   }
-  return out;  // std::map iteration is already name-sorted
+  return it->second;
 }
 
-void HealthRegistry::ApplyOutcome(Entry* entry, bool success, const std::string& reason) {
-  EndpointStatus& s = entry->status;
+EndpointStatus& HealthRegistry::EntryLocked(const std::string& endpoint) {
+  EndpointStatus& entry = endpoints_[endpoint];
+  entry.endpoint = endpoint;
+  return entry;
+}
+
+void HealthRegistry::ApplyOutcome(EndpointStatus* entry, bool success,
+                                  const std::string& reason) {
+  EndpointStatus& s = *entry;
   ++s.probes;
   if (success) {
     s.consecutive_failures = 0;
@@ -190,19 +178,19 @@ void HealthRegistry::ApplyOutcome(Entry* entry, bool success, const std::string&
   }
 }
 
-void HealthRegistry::TransitionLocked(Entry* entry, EndpointHealth next) {
-  if (entry->status.state == next) {
+void HealthRegistry::TransitionLocked(EndpointStatus* entry, EndpointHealth next) {
+  if (entry->state == next) {
     return;
   }
-  entry->status.state = next;
-  ++entry->status.transitions;
+  entry->state = next;
+  ++entry->transitions;
   metrics_->GetCounter(obs::kHealthTransitions)->Increment();
 }
 
 void HealthRegistry::RefreshGaugesLocked() {
   int64_t healthy = 0, degraded = 0, dead = 0, recovering = 0;
   for (const auto& [name, entry] : endpoints_) {
-    switch (entry.status.state) {
+    switch (entry.state) {
       case EndpointHealth::kHealthy:
         ++healthy;
         break;
@@ -221,72 +209,6 @@ void HealthRegistry::RefreshGaugesLocked() {
   metrics_->GetGauge(obs::kHealthEndpointsDegraded)->Set(degraded);
   metrics_->GetGauge(obs::kHealthEndpointsDead)->Set(dead);
   metrics_->GetGauge(obs::kHealthEndpointsRecovering)->Set(recovering);
-}
-
-HealthProber::HealthProber(HealthRegistry* registry, ProbeFn probe)
-    : registry_(registry), probe_(std::move(probe)) {}
-
-HealthProber::~HealthProber() { Stop(); }
-
-void HealthProber::Start() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (running_) {
-    return;
-  }
-  stop_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void HealthProber::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_) {
-      return;
-    }
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  running_ = false;
-}
-
-void HealthProber::Loop() {
-  SecureRng rng = SecureRng::FromEntropy();
-  const HealthPolicy& policy = registry_->policy();
-  for (;;) {
-    // Jittered sleep first, so Start() does not race registration: the
-    // caller registers endpoints, starts the prober, and the first sweep
-    // sees them all.
-    const int jitter = policy.probe_jitter_ms > 0
-                           ? static_cast<int>(rng.UniformBelow(
-                                 static_cast<uint64_t>(policy.probe_jitter_ms)))
-                           : 0;
-    const auto wait = std::chrono::milliseconds(policy.probe_interval_ms + jitter);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (cv_.wait_for(lock, wait, [this] { return stop_; })) {
-        return;
-      }
-    }
-    for (const EndpointStatus& status : registry_->Snapshot()) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stop_) {
-          return;
-        }
-      }
-      ProbeOutcome outcome = probe_(status.endpoint, policy.probe_timeout_ms);
-      if (outcome.ok) {
-        registry_->ReportProbeSuccess(status.endpoint, outcome.reply, outcome.rtt_us);
-      } else {
-        registry_->ReportProbeFailure(status.endpoint, outcome.error);
-      }
-    }
-  }
 }
 
 }  // namespace net

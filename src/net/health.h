@@ -1,12 +1,9 @@
-// Fleet health tracking for remote verifiers.
+// Fleet health judgement for remote verifiers.
 //
-// The remote fleet (src/net/remote_fleet.h) learns about a dead verifier
-// the expensive way: a shard is dispatched, the connect ladder times out,
-// and only then does the lane's circuit breaker trip. The health registry
-// moves that discovery off the dispatch path: a background prober sends
-// authenticated kHealthProbe frames (src/wire/wire_format.h) on a jittered
-// interval, and the registry runs a small per-endpoint state machine over
-// the outcomes:
+// vdp_fleetctl (tools/vdp_fleetctl.cc) probes each verify_server with
+// authenticated kHealthProbe frames (net::ProbeSweep, src/net/introspect.h)
+// and feeds the outcomes into this registry, which runs a small
+// per-endpoint state machine over them:
 //
 //            failure                 failure x dead_after       probe fails
 //   healthy ---------> degraded -------------------------> dead ----------.
@@ -21,24 +18,19 @@
 // lost all session state, so it re-enters through kRecovering and must
 // prove itself again (kHealthRestartsSeen counts these).
 //
-// Dispatch policy: only kDead is skipped (Dispatchable() == false).
-// Degraded and recovering endpoints still take shards -- the data path is
-// its own best health probe -- but a dead endpoint costs nothing until the
-// prober sees it answer again. Everything here is driven by explicit
-// Report* calls, so the state machine is unit-testable without sockets;
-// HealthProber adds the background thread + probe callback on top.
+// The registry only judges; it never gates shard dispatch. The fleet
+// (src/net/remote_fleet.h) learns about a dead verifier on the data path:
+// a lane whose connect ladder fails writes its endpoint off for the rest of
+// the stream. Everything here is driven by explicit Report* calls, so the
+// state machine is unit-testable without sockets.
 #ifndef SRC_NET_HEALTH_H_
 #define SRC_NET_HEALTH_H_
 
 #include <array>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/wire/wire_format.h"
@@ -57,22 +49,16 @@ const char* EndpointHealthName(EndpointHealth state);
 
 struct HealthPolicy {
   // Consecutive probe failures before healthy -> degraded. The default of 1
-  // guarantees a hung server is degraded within two probe intervals: the
-  // first probe hangs until probe_timeout_ms, the report lands, done.
+  // degrades a hung server on the first probe that times out.
   uint32_t degraded_after_failures = 1;
   // Total consecutive probe failures before -> dead.
   uint32_t dead_after_failures = 3;
   // Consecutive probe successes a recovering endpoint needs before it is
   // trusted as healthy again.
   uint32_t recovered_after_successes = 2;
-  // Prober cadence: base interval plus uniform jitter in [0, jitter), so a
-  // fleet of probers never phase-locks into probing every server at once.
-  int probe_interval_ms = 1000;
-  int probe_jitter_ms = 250;
-  int probe_timeout_ms = 2000;
 };
 
-// One endpoint's view, as returned by Snapshot().
+// One endpoint's view, as returned by Status().
 struct EndpointStatus {
   std::string endpoint;
   EndpointHealth state = EndpointHealth::kHealthy;
@@ -91,8 +77,8 @@ struct EndpointStatus {
 };
 
 // Thread-safe registry of endpoint health. Probe outcomes arrive through
-// ReportProbeSuccess / ReportProbeFailure (from HealthProber or directly
-// from tests); dispatchers consult State / Dispatchable. Counters and the
+// ReportProbeSuccess / ReportProbeFailure (from ProbeSweep or directly
+// from tests); State / Status read the judgement back. Counters and the
 // per-state population gauges go to `metrics` (the global registry by
 // default; tests pass their own to assert deltas).
 class HealthRegistry {
@@ -101,7 +87,7 @@ class HealthRegistry {
                           obs::MetricsRegistry* metrics = &obs::MetricsRegistry::Global());
 
   // Registers an endpoint (idempotent). New endpoints start healthy:
-  // pessimism is the prober's job, not registration's.
+  // pessimism is the probes' job, not registration's.
   void AddEndpoint(const std::string& endpoint);
 
   // When set, a reply whose params_digest is nonzero but differs from this
@@ -117,71 +103,26 @@ class HealthRegistry {
   // A probe that got no usable reply (timeout, connect refused, bad MAC...).
   void ReportProbeFailure(const std::string& endpoint, const std::string& reason);
 
-  // Unknown endpoints read as healthy / dispatchable -- the registry only
-  // ever *removes* an endpoint from rotation, never blocks an unprobed one.
+  // Unknown endpoints read as healthy and unprobed: only probe failures
+  // ever judge an endpoint unwell.
   EndpointHealth State(const std::string& endpoint) const;
-  bool Dispatchable(const std::string& endpoint) const;
-
-  std::vector<EndpointStatus> Snapshot() const;
-
-  const HealthPolicy& policy() const { return policy_; }
+  EndpointStatus Status(const std::string& endpoint) const;
 
  private:
-  struct Entry {
-    EndpointStatus status;
-  };
-
+  // The endpoint's entry, registered on first use. Caller holds mutex_.
+  EndpointStatus& EntryLocked(const std::string& endpoint);
   // Applies a judged outcome to an entry; both Report* paths funnel here.
   // Caller holds mutex_.
-  void ApplyOutcome(Entry* entry, bool success, const std::string& reason);
-  void TransitionLocked(Entry* entry, EndpointHealth next);
+  void ApplyOutcome(EndpointStatus* entry, bool success, const std::string& reason);
+  void TransitionLocked(EndpointStatus* entry, EndpointHealth next);
   void RefreshGaugesLocked();
 
   HealthPolicy policy_;
   obs::MetricsRegistry* metrics_;
   mutable std::mutex mutex_;
-  std::map<std::string, Entry> endpoints_;
+  std::map<std::string, EndpointStatus> endpoints_;
   bool have_expected_digest_ = false;
   std::array<uint8_t, 32> expected_digest_{};
-};
-
-// What one probe attempt produced; filled by the probe callback.
-struct ProbeOutcome {
-  bool ok = false;
-  std::string error;              // when !ok
-  wire::WireHealthReply reply{};  // when ok
-  uint64_t rtt_us = 0;
-};
-
-// Background prober: one thread sweeping every registered endpoint on the
-// policy's jittered interval, feeding outcomes into the registry. The probe
-// itself is a callback (src/net/introspect.h provides the real socket one)
-// so this class stays free of transport concerns and tests can inject
-// liars, sleepers, and flappers.
-class HealthProber {
- public:
-  using ProbeFn =
-      std::function<ProbeOutcome(const std::string& endpoint, int timeout_ms)>;
-
-  HealthProber(HealthRegistry* registry, ProbeFn probe);
-  ~HealthProber();  // stops the thread
-
-  HealthProber(const HealthProber&) = delete;
-  HealthProber& operator=(const HealthProber&) = delete;
-
-  void Start();
-  void Stop();
-
- private:
-  void Loop();
-
-  HealthRegistry* registry_;
-  ProbeFn probe_;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool running_ = false;
 };
 
 }  // namespace net

@@ -4,68 +4,17 @@
 #include <utility>
 
 #include "src/common/rng.h"
-#include "src/net/auth.h"
-#include "src/net/socket.h"
+#include "src/net/remote_conn.h"
 #include "src/obs/runlog.h"
 
 namespace vdp {
 namespace net {
 
-namespace {
-
-// Shared admin bootstrap: connect, hello pair, session key. On success *out
-// holds a connected fd and a client AuthChannel positioned at admin seq 0.
-struct AdminConn {
-  int fd = -1;
-  AuthChannel channel;
-  uint64_t server_id = 0;
-
-  bool ok() const { return fd >= 0; }
-};
-
-bool AdminBootstrap(const Endpoint& endpoint, BytesView auth_key, int timeout_ms,
-                    AdminConn* out, std::string* error) {
-  out->fd = ConnectTo(endpoint, timeout_ms, error);
-  if (out->fd < 0) {
-    return false;
-  }
-  wire::Frame frame;
-  wire::ReadStatus status = wire::ReadFrame(out->fd, &frame, timeout_ms);
-  if (status != wire::ReadStatus::kOk) {
-    *error = std::string("no server hello (") + wire::ReadStatusName(status) + ")";
-    CloseFd(&out->fd);
-    return false;
-  }
-  auto hello = frame.type == wire::FrameType::kServerHello
-                   ? wire::WireServerHello::Deserialize(frame.payload)
-                   : std::nullopt;
-  if (!hello.has_value() || hello->version != wire::kWireVersion) {
-    *error = "bad server hello";
-    CloseFd(&out->fd);
-    return false;
-  }
-  out->server_id = hello->server_id;
-  wire::WireClientHello client_hello;
-  SecureRng::FromEntropy().FillBytes(client_hello.nonce.data(), client_hello.nonce.size());
-  if (wire::WriteFrame(out->fd, wire::FrameType::kClientHello, client_hello.Serialize(),
-                       timeout_ms) != wire::WriteStatus::kOk) {
-    *error = "client hello write failed";
-    CloseFd(&out->fd);
-    return false;
-  }
-  SessionKey key = DeriveSessionKey(
-      auth_key, BytesView(hello->nonce.data(), hello->nonce.size()),
-      BytesView(client_hello.nonce.data(), client_hello.nonce.size()));
-  out->channel = AuthChannel(out->fd, key, /*is_client=*/true);
-  return true;
-}
-
-}  // namespace
-
 ProbeOutcome ProbeEndpoint(const Endpoint& endpoint, BytesView auth_key, int timeout_ms) {
   ProbeOutcome outcome;
-  AdminConn conn;
-  if (!AdminBootstrap(endpoint, auth_key, timeout_ms, &conn, &outcome.error)) {
+  // The admin plane gives every step of the session opener one timeout.
+  RemoteConn conn = OpenSession(endpoint, auth_key, {timeout_ms, timeout_ms}, &outcome.error);
+  if (!conn.ok()) {
     return outcome;
   }
   wire::WireHealthProbe probe;
@@ -77,13 +26,13 @@ ProbeOutcome ProbeEndpoint(const Endpoint& endpoint, BytesView auth_key, int tim
   if (conn.channel.Write(wire::FrameType::kHealthProbe, probe.Serialize(), timeout_ms) !=
       wire::WriteStatus::kOk) {
     outcome.error = "probe write failed";
-    CloseFd(&conn.fd);
+    CloseRemoteConn(&conn);
     return outcome;
   }
   wire::Frame frame;
   wire::ReadStatus status = conn.channel.Read(&frame, timeout_ms);
   const auto rtt = std::chrono::steady_clock::now() - start;
-  CloseFd(&conn.fd);
+  CloseRemoteConn(&conn);
   if (status != wire::ReadStatus::kOk) {
     outcome.error = std::string("no health reply (") + wire::ReadStatusName(status) + ")";
     return outcome;
@@ -114,8 +63,8 @@ ProbeOutcome ProbeEndpoint(const Endpoint& endpoint, BytesView auth_key, int tim
 StatsResult FetchStats(const Endpoint& endpoint, BytesView auth_key, int timeout_ms,
                        bool include_spans) {
   StatsResult result;
-  AdminConn conn;
-  if (!AdminBootstrap(endpoint, auth_key, timeout_ms, &conn, &result.error)) {
+  RemoteConn conn = OpenSession(endpoint, auth_key, {timeout_ms, timeout_ms}, &result.error);
+  if (!conn.ok()) {
     return result;
   }
   wire::WireStatsRequest request;
@@ -123,12 +72,12 @@ StatsResult FetchStats(const Endpoint& endpoint, BytesView auth_key, int timeout
   if (conn.channel.Write(wire::FrameType::kStatsRequest, request.Serialize(), timeout_ms) !=
       wire::WriteStatus::kOk) {
     result.error = "stats request write failed";
-    CloseFd(&conn.fd);
+    CloseRemoteConn(&conn);
     return result;
   }
   wire::Frame frame;
   wire::ReadStatus status = conn.channel.Read(&frame, timeout_ms);
-  CloseFd(&conn.fd);
+  CloseRemoteConn(&conn);
   if (status != wire::ReadStatus::kOk) {
     result.error = std::string("no stats reply (") + wire::ReadStatusName(status) + ")";
     return result;
@@ -153,17 +102,27 @@ StatsResult FetchStats(const Endpoint& endpoint, BytesView auth_key, int timeout
   return result;
 }
 
-HealthProber::ProbeFn SocketProbeFn(Bytes auth_key) {
-  return [key = std::move(auth_key)](const std::string& endpoint_name,
-                                     int timeout_ms) -> ProbeOutcome {
-    auto endpoint = ParseEndpoint(endpoint_name);
-    if (!endpoint.has_value()) {
-      ProbeOutcome outcome;
+std::vector<EndpointStatus> ProbeSweep(HealthRegistry* registry,
+                                       const std::vector<std::string>& endpoints,
+                                       BytesView auth_key, int timeout_ms) {
+  std::vector<EndpointStatus> statuses;
+  statuses.reserve(endpoints.size());
+  for (const std::string& name : endpoints) {
+    auto endpoint = ParseEndpoint(name);
+    ProbeOutcome outcome;
+    if (endpoint.has_value()) {
+      outcome = ProbeEndpoint(*endpoint, auth_key, timeout_ms);
+    } else {
       outcome.error = "unparseable endpoint";
-      return outcome;
     }
-    return ProbeEndpoint(*endpoint, BytesView(key.data(), key.size()), timeout_ms);
-  };
+    if (outcome.ok) {
+      registry->ReportProbeSuccess(name, outcome.reply, outcome.rtt_us);
+    } else {
+      registry->ReportProbeFailure(name, outcome.error);
+    }
+    statuses.push_back(registry->Status(name));
+  }
+  return statuses;
 }
 
 // --- vdp.stats/v1 serialization -----------------------------------------

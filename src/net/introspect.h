@@ -5,11 +5,11 @@
 // uptime, installed setup digest, in-flight shards, queue depth) and
 // kStatsRequest -> kStatsReply (a full MetricsRegistry snapshot plus recent
 // trace spans, as vdp.stats/v1 JSON). This header is the client side --
-// used by the background prober (src/net/health.h), the vdp_fleetctl tool,
-// and the loopback tests -- plus the JSON/Prometheus renderers both ends
-// share.
+// used by the vdp_fleetctl tool, vdpbench and the loopback tests --
+// plus the JSON/Prometheus renderers both ends share.
 //
-// The admin bootstrap is the data plane's minus the setup exchange:
+// An admin session opens exactly like a data-plane one (net::OpenSession,
+// src/net/remote_conn.h), minus the setup exchange:
 //
 //   connect -> read kServerHello -> write kClientHello -> derive key
 //           -> kHealthProbe / kStatsRequest as the FIRST authenticated
@@ -40,6 +40,14 @@ namespace net {
 // Schema tag of the stats payload carried inside kStatsReply.
 inline constexpr const char* kStatsSchema = "vdp.stats/v1";
 
+// What one probe attempt produced.
+struct ProbeOutcome {
+  bool ok = false;
+  std::string error;              // when !ok
+  wire::WireHealthReply reply{};  // when ok
+  uint64_t rtt_us = 0;
+};
+
 // One probe round-trip against an endpoint: fresh connection, hello pair,
 // authenticated kHealthProbe with a random nonzero nonce, MAC-verified
 // kHealthReply with the nonce echoed. `timeout_ms` bounds each step
@@ -58,10 +66,13 @@ struct StatsResult {
 StatsResult FetchStats(const Endpoint& endpoint, BytesView auth_key, int timeout_ms,
                        bool include_spans);
 
-// The real socket probe callback for HealthProber: each call runs
-// ProbeEndpoint against the named endpoint (parsing the canonical textual
-// form). The key is captured by value.
-HealthProber::ProbeFn SocketProbeFn(Bytes auth_key);
+// One probe sweep: probes every endpoint in `endpoints` once, in order,
+// and reports each outcome into `registry` (an unparseable endpoint is a
+// failed probe). Returns each endpoint's judged status, in `endpoints`
+// order. vdp_fleetctl's status and watch modes are repeated sweeps.
+std::vector<EndpointStatus> ProbeSweep(HealthRegistry* registry,
+                                       const std::vector<std::string>& endpoints,
+                                       BytesView auth_key, int timeout_ms);
 
 // --- vdp.stats/v1 serialization -----------------------------------------
 // The JSON the server packs into kStatsReply and the clients unpack:

@@ -16,9 +16,8 @@ bool AckMatchesSetup(const wire::WireSetupAck& ack, const Sha256::Digest& setup_
                            BytesView(setup_digest.data(), setup_digest.size()));
 }
 
-RemoteConn ConnectAndHandshake(const Endpoint& endpoint, BytesView shared_secret,
-                               BytesView setup_payload, const Sha256::Digest& setup_digest,
-                               const HandshakeOptions& options, std::string* blame) {
+RemoteConn OpenSession(const Endpoint& endpoint, BytesView shared_secret,
+                       const HandshakeOptions& options, std::string* blame) {
   RemoteConn conn;
   std::string connect_error;
   conn.fd = ConnectTo(endpoint, options.connect_timeout_ms, &connect_error);
@@ -68,14 +67,24 @@ RemoteConn ConnectAndHandshake(const Endpoint& endpoint, BytesView shared_secret
       shared_secret, BytesView(server_hello->nonce.data(), server_hello->nonce.size()),
       BytesView(client_hello.nonce.data(), client_hello.nonce.size()));
   conn.channel = AuthChannel(conn.fd, key, /*is_client=*/true);
+  return conn;
+}
 
+RemoteConn ConnectAndHandshake(const Endpoint& endpoint, BytesView shared_secret,
+                               BytesView setup_payload, const Sha256::Digest& setup_digest,
+                               const HandshakeOptions& options, std::string* blame) {
+  RemoteConn conn = OpenSession(endpoint, shared_secret, options, blame);
+  if (!conn.ok()) {
+    return conn;
+  }
   if (conn.channel.Write(wire::FrameType::kSetup, setup_payload,
                          options.handshake_timeout_ms) != wire::WriteStatus::kOk) {
     *blame = "setup write failed";
     CloseRemoteConn(&conn);
     return conn;
   }
-  status = conn.channel.Read(&frame, options.handshake_timeout_ms);
+  wire::Frame frame;
+  wire::ReadStatus status = conn.channel.Read(&frame, options.handshake_timeout_ms);
   if (status != wire::ReadStatus::kOk) {
     // kAuthFailed here usually means mismatched fleet secrets; kEof is a
     // server that verified OUR MAC and refused us (its side of the same

@@ -1,8 +1,12 @@
-// Driver-side connection bootstrap to one remote verifier:
+// Client-side connection bootstrap to one remote verifier. Both planes
+// open their session the same way (OpenSession):
 //
 //   connect -> read kServerHello (version + server nonce)
 //           -> write kClientHello (client nonce)
 //           -> derive session key (src/net/auth.h)
+//
+// The data plane (ConnectAndHandshake) then installs its parameters:
+//
 //           -> write kSetup on the AuthChannel (first authenticated frame;
 //              proves the driver holds the fleet secret)
 //           -> read kSetupAck and check MAC + echoed digest (proves the
@@ -10,9 +14,12 @@
 //              parameters -- a stale digest or a bad MAC is blamed, never
 //              worked around)
 //
+// while the admin plane (src/net/introspect.h) sends a kHealthProbe or
+// kStatsRequest as its first authenticated frame instead.
+//
 // On success the returned connection's AuthChannel is positioned for the
-// task/result exchange. Non-templated: the setup travels as serialized
-// bytes, so this layer never depends on a group backend.
+// next exchange. Non-templated: the setup travels as serialized bytes, so
+// this layer never depends on a group backend.
 #ifndef SRC_NET_REMOTE_CONN_H_
 #define SRC_NET_REMOTE_CONN_H_
 
@@ -26,7 +33,7 @@ namespace net {
 
 struct HandshakeOptions {
   int connect_timeout_ms = 10'000;
-  // Per handshake frame (server hello, setup write, setup ack).
+  // Per handshake frame (server hello, client hello, setup write, setup ack).
   int handshake_timeout_ms = 15'000;
 };
 
@@ -43,8 +50,15 @@ struct RemoteConn {
 // setup digest byte-for-byte. Exposed for the wire golden/rejection tests.
 bool AckMatchesSetup(const wire::WireSetupAck& ack, const Sha256::Digest& setup_digest);
 
-// Runs the bootstrap above. On failure returns a non-ok() RemoteConn with
-// the reason in *blame (connect vs version skew vs auth vs stale digest).
+// Connects and runs the hello exchange above, leaving a client AuthChannel
+// at sequence 0 of both planes. On failure returns a non-ok() RemoteConn
+// with the reason in *blame (connect vs malformed hello vs version skew).
+RemoteConn OpenSession(const Endpoint& endpoint, BytesView shared_secret,
+                       const HandshakeOptions& options, std::string* blame);
+
+// OpenSession, then the setup exchange. On failure returns a non-ok()
+// RemoteConn with the reason in *blame (connect vs version skew vs auth vs
+// stale digest).
 RemoteConn ConnectAndHandshake(const Endpoint& endpoint, BytesView shared_secret,
                                BytesView setup_payload, const Sha256::Digest& setup_digest,
                                const HandshakeOptions& options, std::string* blame);

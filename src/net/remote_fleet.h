@@ -18,6 +18,11 @@
 //   - Connecting itself retries (connect_attempts, backoff) so a verifier
 //     that is restarting -- killed and brought back by its supervisor -- is
 //     re-adopted instead of written off on the first ECONNREFUSED.
+//   - A lane whose whole connect ladder fails trips its circuit breaker:
+//     the endpoint is written off for the rest of the stream, so a dead
+//     verifier costs its connect timeouts once, not once per shard. This
+//     breaker is the fleet's one dead-endpoint detector; the next stream
+//     (BeginStream) tries the endpoint again.
 //   - A shard whose remote attempts are exhausted is verified *in process*,
 //     so a dead fleet degrades to the in-process sharded path instead of
 //     losing shards.
@@ -41,7 +46,6 @@
 #include "src/common/bytes.h"
 #include "src/common/hex.h"
 #include "src/common/timer.h"
-#include "src/net/health.h"
 #include "src/net/remote_conn.h"
 #include "src/net/socket.h"
 #include "src/shard/shard_result.h"
@@ -77,12 +81,6 @@ struct RemoteFleetOptions {
   // Connect+handshake tries per (re)connection, with backoff between.
   size_t connect_attempts = 2;
   int reconnect_backoff_ms = 50;
-  // When set, dispatch consults the health registry (fed by a background
-  // prober): shards skip endpoints it calls dead (straight to the
-  // in-process fallback, kFleetDispatchSkips) instead of paying the connect
-  // ladder, and a lane whose own circuit breaker tripped is re-armed once
-  // the registry sees the endpoint answer probes again. Not owned.
-  net::HealthRegistry* health = nullptr;
 };
 
 // Farms shards to the fleet named by config.remote_verifiers, authenticated
@@ -152,7 +150,7 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     ShardResult<G> result;
     if (!FarmOut(&lanes_[lane_index], endpoints_[lane_index], endpoint_name, shard,
                  &dispatch_span, &result)) {
-      // Skipped or retries exhausted: verify locally so the shard -- and
+      // Breaker tripped or retries exhausted: verify locally so the shard -- and
       // the combined verdict -- is never lost to a dead fleet.
       result = VerifyShard(config_, ped_, shard.data(), shard.count(), shard.base,
                            shard.shard_index, nullptr, shard.compute_products, this->tracer_,
@@ -189,24 +187,13 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     bool endpoint_dead = false;
   };
 
-  // Every remote attempt at one shard on its lane's endpoint: the health
-  // gate, the oversize check, then up to max_attempts_per_shard round-trips
+  // Every remote attempt at one shard on its lane's endpoint: the breaker,
+  // the oversize check, then up to max_attempts_per_shard round-trips
   // (reconnecting as needed). Fills *result and returns true on the first
   // success; false sends the shard to the in-process recovery.
   bool FarmOut(LaneState* lane, const net::Endpoint& endpoint, const std::string& endpoint_name,
                const ShardPayload<G>& shard, obs::TraceSpan* dispatch_span,
                ShardResult<G>* result) {
-    if (options_.health != nullptr) {
-      if (!options_.health->Dispatchable(endpoint_name)) {
-        // The prober says this endpoint is dead: go straight to the
-        // in-process fallback instead of burning the connect ladder.
-        obs::GlobalCounter(obs::kFleetDispatchSkips)->Increment();
-        return false;
-      }
-      // The lane's own breaker may have tripped earlier in the stream, but
-      // the prober has since seen the endpoint answer: re-adopt it.
-      lane->endpoint_dead = false;
-    }
     if (lane->endpoint_dead) {
       return false;  // the breaker tripped earlier in this stream
     }

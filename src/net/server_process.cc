@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "src/common/hex.h"
 #include "src/common/rng.h"
@@ -217,24 +218,27 @@ LoopbackFleet::LoopbackFleet(size_t n, const std::string& fault) {
   char key_path[] = "/tmp/vdp-fleet-key-XXXXXX";
   int key_fd = mkstemp(key_path);
   if (key_fd < 0) {
-    return;
+    throw std::runtime_error(std::string("LoopbackFleet: cannot create key file: ") +
+                             std::strerror(errno));
   }
+  key_file_ = key_path;
   const std::string contents = key_hex_ + "\n";
   size_t written = 0;
   while (written < contents.size()) {
     ssize_t w = write(key_fd, contents.data() + written, contents.size() - written);
+    if (w < 0 && errno == EINTR) {
+      continue;
+    }
     if (w < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
+      const int error = errno;
       close(key_fd);
-      unlink(key_path);
-      return;
+      Teardown();
+      throw std::runtime_error(std::string("LoopbackFleet: cannot write key file ") +
+                               key_path + ": " + std::strerror(error));
     }
     written += static_cast<size_t>(w);
   }
   close(key_fd);
-  key_file_ = key_path;
 
   for (size_t i = 0; i < n; ++i) {
     SpawnServerOptions options;
@@ -242,18 +246,27 @@ LoopbackFleet::LoopbackFleet(size_t n, const std::string& fault) {
     options.server_id = i;
     options.fault = fault;
     auto server = SpawnVerifyServer(options);
-    if (server.has_value()) {
-      servers_.push_back(std::move(*server));
+    if (!server.has_value()) {
+      // A fleet short of servers would quietly turn remote runs into
+      // in-process ones; the constructor's promise is n servers or a throw.
+      Teardown();
+      throw std::runtime_error("LoopbackFleet: could not start server " + std::to_string(i) +
+                               " from '" + DefaultServerPath() + "'");
     }
+    servers_.push_back(std::move(*server));
   }
 }
 
-LoopbackFleet::~LoopbackFleet() {
+LoopbackFleet::~LoopbackFleet() { Teardown(); }
+
+void LoopbackFleet::Teardown() {
   for (ServerProcess& server : servers_) {
     DestroyServer(&server);
   }
+  servers_.clear();
   if (!key_file_.empty()) {
     unlink(key_file_.c_str());
+    key_file_.clear();
   }
 }
 
@@ -295,11 +308,7 @@ bool ApplyRemoteEnvHook(ProtocolConfig* config) {
     }
     // One shared fleet per process; dies with the process (and, via
     // --watch-stdin, even with an unclean death).
-    const LoopbackFleet& fleet = SharedLoopbackFleet(n);
-    if (fleet.servers().empty()) {
-      return false;
-    }
-    fleet.ApplyTo(config);
+    SharedLoopbackFleet(n).ApplyTo(config);
     return true;
   }
   // Comma-separated endpoint list with the key from the environment.

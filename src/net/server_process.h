@@ -56,9 +56,11 @@ std::string DestroyServer(ServerProcess* server);
 // --watch-stdin, with the process.
 class LoopbackFleet {
  public:
-  // Spawns `n` servers on ephemeral 127.0.0.1 ports. Spawn failures leave
-  // the fleet with fewer servers (callers assert servers().size()).
-  // `fault` is passed to every server as its --fault spec.
+  // Spawns `n` servers on ephemeral 127.0.0.1 ports. A server that fails
+  // to start (or a key file that cannot be written) throws
+  // std::runtime_error naming the verify_server path and the server index,
+  // after tearing down what was already started. `fault` is passed to
+  // every server as its --fault spec.
   LoopbackFleet(size_t n, const std::string& fault = "");
   ~LoopbackFleet();
   LoopbackFleet(const LoopbackFleet&) = delete;
@@ -77,6 +79,9 @@ class LoopbackFleet {
   void ApplyTo(ProtocolConfig* config) const;
 
  private:
+  // Reaps every server and unlinks the key file.
+  void Teardown();
+
   std::vector<ServerProcess> servers_;
   std::string key_hex_;
   std::string key_file_;
@@ -91,7 +96,8 @@ const LoopbackFleet& SharedLoopbackFleet(size_t n);
 // CI/test hook, the remote sibling of VDP_NUM_VERIFY_SHARDS: when
 // $VDP_REMOTE_VERIFIERS is
 //   - "spawn:<n>": stands up (once per process) a shared n-server loopback
-//     fleet and points the config at it;
+//     fleet and points the config at it (throws when a server cannot be
+//     started, never falls back to in-process);
 //   - a comma-separated endpoint list: uses those endpoints with
 //     $VDP_REMOTE_AUTH_KEY as the fleet secret.
 // Returns true when remote settings were applied.

@@ -67,7 +67,7 @@ inline constexpr const char* kBackpressureWaitUs = "backpressure.wait_us";
 // Process peak RSS (VmHWM), stamped into the run-log footer by
 // RunLogWriter::Footer so bounded-memory claims are machine-checkable.
 inline constexpr const char* kMemRssHwmKb = "mem.rss_hwm_kb";
-// Live fleet introspection (src/net/health.h): the prober's probe traffic,
+// Live fleet introspection (src/net/health.h): probe traffic,
 // state-machine transitions, and the per-state endpoint population gauges.
 inline constexpr const char* kHealthProbes = "health.probes";
 inline constexpr const char* kHealthProbeFailures = "health.probe_failures";
@@ -78,9 +78,6 @@ inline constexpr const char* kHealthEndpointsDegraded = "health.endpoints_degrad
 inline constexpr const char* kHealthEndpointsDead = "health.endpoints_dead";
 inline constexpr const char* kHealthEndpointsRecovering = "health.endpoints_recovering";
 inline constexpr const char* kHealthProbeRttUs = "health.probe_rtt_us";
-// Shards that skipped their remote endpoint because the health registry had
-// it marked dead at dispatch time (verified in process instead).
-inline constexpr const char* kFleetDispatchSkips = "fleet.dispatch_skips";
 // Server-side admin plane (tools/verify_server): probes and stats requests
 // answered.
 inline constexpr const char* kAdminProbesServed = "admin.probes_served";

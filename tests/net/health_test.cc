@@ -1,14 +1,9 @@
 // HealthRegistry state machine under an adversarial probe corpus: hung
 // probes (timeouts), a lying/regressing uptime (restart behind our back), a
 // stale epoch digest, and a flapping endpoint -- asserting the state
-// transitions, the metric deltas, and the dispatch policy. No sockets: the
-// state machine is driven directly through Report*; the prober's loop is
-// exercised with an injected probe function.
+// transitions and the metric deltas. No sockets: the state machine is
+// driven directly through Report*.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "src/net/health.h"
 
@@ -32,7 +27,6 @@ TEST(HealthRegistryTest, FullLifecycleWithMetricDeltas) {
   const std::string ep = "tcp:127.0.0.1:7001";
   registry.AddEndpoint(ep);
   EXPECT_EQ(registry.State(ep), EndpointHealth::kHealthy);
-  EXPECT_TRUE(registry.Dispatchable(ep));
   EXPECT_EQ(metrics.Snapshot().CounterValue(obs::kHealthTransitions), 0u);
 
   // Hung probe #1: healthy -> degraded on the first consecutive failure
@@ -40,20 +34,17 @@ TEST(HealthRegistryTest, FullLifecycleWithMetricDeltas) {
   // hang starting.
   registry.ReportProbeFailure(ep, "no health reply (timeout)");
   EXPECT_EQ(registry.State(ep), EndpointHealth::kDegraded);
-  EXPECT_TRUE(registry.Dispatchable(ep));  // degraded still takes shards
 
   // Hung probes #2 and #3: degraded -> dead at dead_after_failures = 3.
   registry.ReportProbeFailure(ep, "no health reply (timeout)");
   EXPECT_EQ(registry.State(ep), EndpointHealth::kDegraded);
   registry.ReportProbeFailure(ep, "no health reply (timeout)");
   EXPECT_EQ(registry.State(ep), EndpointHealth::kDead);
-  EXPECT_FALSE(registry.Dispatchable(ep));  // ONLY dead is skipped
 
   // Back from the dead: one success moves to recovering (still not enough),
   // the second completes recovery.
   registry.ReportProbeSuccess(ep, GoodReply(1000), 150);
   EXPECT_EQ(registry.State(ep), EndpointHealth::kRecovering);
-  EXPECT_TRUE(registry.Dispatchable(ep));
   registry.ReportProbeSuccess(ep, GoodReply(2000), 150);
   EXPECT_EQ(registry.State(ep), EndpointHealth::kHealthy);
 
@@ -64,13 +55,12 @@ TEST(HealthRegistryTest, FullLifecycleWithMetricDeltas) {
   EXPECT_EQ(snap.CounterValue(obs::kHealthTransitions), 4u);
   EXPECT_EQ(snap.CounterValue(obs::kHealthRestartsSeen), 0u);
 
-  auto statuses = registry.Snapshot();
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_EQ(statuses[0].transitions, 4u);
-  EXPECT_EQ(statuses[0].failures, 3u);
-  EXPECT_EQ(statuses[0].last_uptime_ms, 2000u);
-  EXPECT_EQ(statuses[0].inflight_shards, 2u);
-  EXPECT_TRUE(statuses[0].last_error.empty());
+  EndpointStatus status = registry.Status(ep);
+  EXPECT_EQ(status.transitions, 4u);
+  EXPECT_EQ(status.failures, 3u);
+  EXPECT_EQ(status.last_uptime_ms, 2000u);
+  EXPECT_EQ(status.inflight_shards, 2u);
+  EXPECT_TRUE(status.last_error.empty());
 }
 
 TEST(HealthRegistryTest, LyingUptimeRegressionIsARestart) {
@@ -92,9 +82,8 @@ TEST(HealthRegistryTest, LyingUptimeRegressionIsARestart) {
   // It recovers by answering steadily with a sane (monotone) uptime.
   registry.ReportProbeSuccess(ep, GoodReply(1500), 100);
   EXPECT_EQ(registry.State(ep), EndpointHealth::kHealthy);
-  auto statuses = registry.Snapshot();
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_EQ(statuses[0].restarts_seen, 1u);
+  EndpointStatus status = registry.Status(ep);
+  EXPECT_EQ(status.restarts_seen, 1u);
 }
 
 TEST(HealthRegistryTest, StaleEpochDigestIsAProbeFailure) {
@@ -124,9 +113,8 @@ TEST(HealthRegistryTest, StaleEpochDigestIsAProbeFailure) {
   EXPECT_EQ(registry.State(ep), EndpointHealth::kDegraded);
   auto snap = metrics.Snapshot();
   EXPECT_EQ(snap.CounterValue(obs::kHealthProbeFailures), 1u);
-  auto statuses = registry.Snapshot();
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_EQ(statuses[0].last_error, "stale params digest");
+  EndpointStatus status = registry.Status(ep);
+  EXPECT_EQ(status.last_error, "stale params digest");
 }
 
 TEST(HealthRegistryTest, FlappingEndpointNeverSettlesHealthyCheaply) {
@@ -144,12 +132,11 @@ TEST(HealthRegistryTest, FlappingEndpointNeverSettlesHealthyCheaply) {
   EXPECT_EQ(registry.State(ep), EndpointHealth::kDead);
 
   // One success starts recovery; a single failure during recovery drops it
-  // straight back to dead -- a flapper gets no shard traffic by oscillating.
+  // straight back to dead -- a flapper cannot oscillate its way to healthy.
   registry.ReportProbeSuccess(ep, GoodReply(200), 50);
   EXPECT_EQ(registry.State(ep), EndpointHealth::kRecovering);
   registry.ReportProbeFailure(ep, "timeout");
   EXPECT_EQ(registry.State(ep), EndpointHealth::kDead);
-  EXPECT_FALSE(registry.Dispatchable(ep));
 
   // healthy->degraded->healthy->degraded->dead->recovering->dead = 6.
   EXPECT_EQ(metrics.Snapshot().CounterValue(obs::kHealthTransitions), 6u);
@@ -186,10 +173,12 @@ TEST(HealthRegistryTest, PerStateGaugesTrackThePopulation) {
   EXPECT_EQ(gauge(obs::kHealthEndpointsRecovering), 1);
 }
 
-TEST(HealthRegistryTest, UnknownEndpointsReadAsDispatchable) {
+TEST(HealthRegistryTest, UnknownEndpointsReadAsHealthy) {
   HealthRegistry registry;
   EXPECT_EQ(registry.State("never-registered"), EndpointHealth::kHealthy);
-  EXPECT_TRUE(registry.Dispatchable("never-registered"));
+  EndpointStatus status = registry.Status("never-registered");
+  EXPECT_EQ(status.endpoint, "never-registered");
+  EXPECT_EQ(status.probes, 0u);
 }
 
 TEST(HealthRegistryTest, RttHistogramRecordsSuccessfulProbes) {
@@ -207,52 +196,6 @@ TEST(HealthRegistryTest, RttHistogramRecordsSuccessfulProbes) {
     }
   }
   FAIL() << "rtt histogram not registered";
-}
-
-TEST(HealthProberTest, SweepsEveryEndpointAndFeedsTheRegistry) {
-  obs::MetricsRegistry metrics;
-  HealthPolicy policy;
-  policy.probe_interval_ms = 10;
-  policy.probe_jitter_ms = 5;
-  HealthRegistry registry(policy, &metrics);
-  registry.AddEndpoint("good");
-  registry.AddEndpoint("hung");
-
-  std::atomic<int> probes{0};
-  HealthProber prober(&registry, [&](const std::string& endpoint, int) {
-    probes.fetch_add(1);
-    ProbeOutcome outcome;
-    if (endpoint == "good") {
-      outcome.ok = true;
-      outcome.reply = GoodReply(1000 + static_cast<uint64_t>(probes.load()));
-      outcome.rtt_us = 100;
-    } else {
-      outcome.error = "no health reply (timeout)";
-    }
-    return outcome;
-  });
-  prober.Start();
-  // Wait until both endpoints have been probed at least 3 times.
-  for (int spins = 0; spins < 500 && probes.load() < 6; ++spins) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  prober.Stop();
-  ASSERT_GE(probes.load(), 6);
-  EXPECT_EQ(registry.State("good"), EndpointHealth::kHealthy);
-  EXPECT_EQ(registry.State("hung"), EndpointHealth::kDead);  // >= 3 failures
-  EXPECT_GE(metrics.Snapshot().CounterValue(obs::kHealthProbes), 6u);
-}
-
-TEST(HealthProberTest, StopIsIdempotentAndStartRestarts) {
-  HealthRegistry registry;
-  HealthProber prober(&registry, [](const std::string&, int) { return ProbeOutcome{}; });
-  prober.Stop();  // never started: no-op
-  prober.Start();
-  prober.Start();  // double start: no-op
-  prober.Stop();
-  prober.Stop();
-  prober.Start();
-  prober.Stop();
 }
 
 }  // namespace

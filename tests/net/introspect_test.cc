@@ -1,11 +1,10 @@
 // The live introspection plane end to end over real loopback servers:
 // authenticated health probes and stats dumps against verify_server, the
-// hang fault degrading through the registry, the vdp.stats/v1 JSON
-// round-trip, and the Prometheus renderer.
+// hang fault degrading through the registry, the probe sweep's endpoint
+// order, the vdp.stats/v1 JSON round-trip, and the Prometheus renderer.
 #include <gtest/gtest.h>
 
 #include "src/common/hex.h"
-#include "src/net/health.h"
 #include "src/net/introspect.h"
 #include "src/net/server_process.h"
 
@@ -82,9 +81,8 @@ TEST(IntrospectTest, StatsReplyIsSchemaStampedAndRoundTrips) {
 
 TEST(IntrospectTest, HungServerDegradesThroughTheRegistry) {
   // One healthy server, one that hangs on every admin frame. The registry,
-  // fed by real probes with a short timeout, must degrade the hung one on
-  // the first probe (within two probe intervals) while the healthy one
-  // stays healthy.
+  // fed by real probe sweeps with a short timeout, must degrade the hung
+  // one on the first sweep while the healthy one stays healthy.
   LoopbackFleet healthy(1);
   ASSERT_EQ(healthy.servers().size(), 1u);
   net::SpawnServerOptions spawn;
@@ -95,32 +93,46 @@ TEST(IntrospectTest, HungServerDegradesThroughTheRegistry) {
   ASSERT_TRUE(hung.has_value());
 
   Bytes key = FleetKey(healthy);
-  HealthPolicy policy;
-  policy.probe_timeout_ms = 500;  // a hung probe costs half a second, not 2s
-  HealthRegistry registry(policy);
-  registry.AddEndpoint(healthy.servers()[0].endpoint);
-  registry.AddEndpoint(hung->endpoint);
-  HealthProber::ProbeFn probe = SocketProbeFn(key);
-
+  constexpr int kTimeoutMs = 500;  // a hung probe costs half a second
+  HealthRegistry registry;
+  const std::vector<std::string> endpoints = {healthy.servers()[0].endpoint,
+                                              hung->endpoint};
   for (int round = 0; round < 3; ++round) {
-    for (const EndpointStatus& status : registry.Snapshot()) {
-      ProbeOutcome outcome = probe(status.endpoint, policy.probe_timeout_ms);
-      if (outcome.ok) {
-        registry.ReportProbeSuccess(status.endpoint, outcome.reply, outcome.rtt_us);
-      } else {
-        registry.ReportProbeFailure(status.endpoint, outcome.error);
-      }
-    }
+    ProbeSweep(&registry, endpoints, key, kTimeoutMs);
     if (round == 0) {
-      // Degraded after ONE hung probe: the "within 2 probe intervals" bound.
+      // Degraded after ONE hung probe.
       EXPECT_EQ(registry.State(hung->endpoint), EndpointHealth::kDegraded);
     }
   }
   EXPECT_EQ(registry.State(healthy.servers()[0].endpoint), EndpointHealth::kHealthy);
-  // Three hung probes: dead and undispatched.
+  // Three hung probes: dead.
   EXPECT_EQ(registry.State(hung->endpoint), EndpointHealth::kDead);
-  EXPECT_FALSE(registry.Dispatchable(hung->endpoint));
   DestroyServer(&*hung);
+}
+
+TEST(IntrospectTest, ProbeSweepReportsInEndpointOrder) {
+  // Statuses come back in the caller's order, not the registry's name
+  // order: the live endpoint is listed before names that sort ahead of it
+  // (nobody listens on port 1; "bogus" does not parse).
+  LoopbackFleet fleet(1);
+  ASSERT_EQ(fleet.servers().size(), 1u);
+  const std::string live = fleet.servers()[0].endpoint;
+  const std::vector<std::string> endpoints = {live, "tcp:127.0.0.1:1", "bogus"};
+  ASSERT_GT(endpoints[0], endpoints[1]);
+  ASSERT_GT(endpoints[1], endpoints[2]);
+
+  HealthRegistry registry;
+  std::vector<EndpointStatus> statuses =
+      ProbeSweep(&registry, endpoints, FleetKey(fleet), 2000);
+  ASSERT_EQ(statuses.size(), endpoints.size());
+  for (size_t i = 0; i < endpoints.size(); ++i) {
+    EXPECT_EQ(statuses[i].endpoint, endpoints[i]);
+    EXPECT_EQ(statuses[i].probes, 1u);
+  }
+  EXPECT_EQ(statuses[0].state, EndpointHealth::kHealthy);
+  EXPECT_EQ(statuses[1].state, EndpointHealth::kDegraded);
+  EXPECT_EQ(statuses[2].state, EndpointHealth::kDegraded);
+  EXPECT_EQ(statuses[2].last_error, "unparseable endpoint");
 }
 
 TEST(IntrospectTest, SnapshotJsonRoundTripsAndRejectsMalformed) {

@@ -302,68 +302,6 @@ TEST_F(RemoteFleetTest, KilledServerRecoversOnSurvivors) {
   EXPECT_GE(report.shards_from_remote, 1u);
 }
 
-TEST_F(RemoteFleetTest, DeadEndpointsAreSkippedAtDispatchVerdictUnchanged) {
-  // Two live servers, but the health registry has already judged one dead
-  // (three straight probe failures). Dispatch must never even try that
-  // endpoint -- its shards fall back in-process -- and the verdict must stay
-  // bit-identical to the oracle.
-  net::LoopbackFleet fleet(2);
-  ASSERT_EQ(fleet.servers().size(), 2u);
-  ProtocolConfig config = BaseConfig();
-  fleet.ApplyTo(&config);
-  auto uploads = Corpus(config, ped_);
-
-  net::HealthRegistry health;
-  const std::string dead_ep = fleet.servers()[1].endpoint;
-  health.AddEndpoint(fleet.servers()[0].endpoint);
-  health.AddEndpoint(dead_ep);
-  for (int i = 0; i < 3; ++i) {
-    health.ReportProbeFailure(dead_ep, "no health reply (timeout)");
-  }
-  ASSERT_EQ(health.State(dead_ep), net::EndpointHealth::kDead);
-  ASSERT_FALSE(health.Dispatchable(dead_ep));
-
-  RemoteFleetOptions options = FastOptions();
-  options.health = &health;
-  const uint64_t skips_before =
-      obs::GlobalCounter(obs::kFleetDispatchSkips)->value();
-  RemoteVerifierFleet<G> verifier(config, ped_, options);
-
-  // Lane by lane: the dispatcher's lanes share one queue, so the dead lane's
-  // fast in-process fallback could drain every shard before the live lane
-  // wakes. Driving each lane directly pins which endpoint serves what.
-  auto slice = [&](size_t shard_index, size_t base, size_t count) {
-    ShardPayload<G> shard;
-    shard.shard_index = shard_index;
-    shard.base = base;
-    shard.view = uploads.data() + base;
-    shard.view_count = count;
-    return shard;
-  };
-  verifier.BeginStream(nullptr, 0, nullptr, {});
-  auto live = verifier.ExecuteShard(0, slice(0, 0, 7));
-  auto dead = verifier.ExecuteShard(1, slice(1, 7, 7));
-  verifier.CloseLane(0);
-  verifier.CloseLane(1);
-  EXPECT_EQ(live.accepted, VerifyShard(config, ped_, uploads.data(), 7, 0, 0).accepted);
-  EXPECT_EQ(dead.accepted, VerifyShard(config, ped_, uploads.data() + 7, 7, 7, 1).accepted);
-  EXPECT_GT(obs::GlobalCounter(obs::kFleetDispatchSkips)->value(), skips_before);
-  RemoteFleetReport lanes = verifier.Report();
-  // The live lane carried real remote work; the dead lane's shard was
-  // recovered locally; a skip is a policy decision, not a failure.
-  EXPECT_EQ(lanes.shards_from_remote, 1u);
-  EXPECT_EQ(lanes.shards_recovered_in_process, 1u);
-  EXPECT_TRUE(lanes.failures.empty()) << "first failure: " << lanes.failures[0].reason;
-
-  // And the full stream through the dispatcher: verdict unchanged.
-  auto backend = MakeVerifyBackend<G>(VerifyBackendKind::kRemote, config, ped_, options);
-  auto verdict = backend->VerifyAll(uploads);
-  RemoteFleetReport report = backend->last_fleet_report();
-  ExpectMatchesOracle(config, verdict, uploads);
-  EXPECT_EQ(report.shards_from_remote + report.shards_recovered_in_process,
-            report.shards_total);
-}
-
 TEST_F(RemoteFleetTest, RemoteBackendThroughFactory) {
   net::LoopbackFleet fleet(2);
   ASSERT_EQ(fleet.servers().size(), 2u);

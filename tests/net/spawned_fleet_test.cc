@@ -5,7 +5,8 @@
 // in-process sharded pipeline in every fleet condition -- healthy, one
 // server crashing mid-shard, every server crashing -- and failures must be
 // blamed (which endpoint, which shard, how it ended) without perturbing the
-// verdict.
+// verdict. A fleet whose server binary cannot start throws instead of
+// running short.
 //
 // A hand-driven session pins the daemon's task protocol: a task for another
 // setup is refused, a well-formed task is answered bit-identically to
@@ -13,6 +14,9 @@
 // without taking the server down.
 #include <gtest/gtest.h>
 #include <unistd.h>
+
+#include <cstdlib>
+#include <stdexcept>
 
 #include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
@@ -187,6 +191,29 @@ TEST_F(SpawnedFleetTest, ProductsSkippedWhenNotRequested) {
   EXPECT_EQ(verdict.rejections, expected_.rejections);
   // No products were computed: the report carries none at all.
   EXPECT_FALSE(verdict.has_products());
+}
+
+TEST(LoopbackFleetTest, UnstartableServerThrowsNamingThePath) {
+  // A fleet short of servers would quietly run the remote suites in
+  // process; the constructor must refuse loudly instead, naming the binary
+  // it tried and the server that failed.
+  const char* saved = std::getenv("VDP_VERIFY_SERVER_PATH");
+  const std::string previous = saved != nullptr ? saved : "";
+  const std::string missing = "/nonexistent/vdp-loopback-test/verify_server";
+  setenv("VDP_VERIFY_SERVER_PATH", missing.c_str(), 1);
+  std::string what;
+  try {
+    net::LoopbackFleet fleet(1);
+  } catch (const std::runtime_error& error) {
+    what = error.what();
+  }
+  if (saved != nullptr) {
+    setenv("VDP_VERIFY_SERVER_PATH", previous.c_str(), 1);
+  } else {
+    unsetenv("VDP_VERIFY_SERVER_PATH");
+  }
+  EXPECT_NE(what.find(missing), std::string::npos) << what;
+  EXPECT_NE(what.find("server 0"), std::string::npos) << what;
 }
 
 // --- A verify_server session driven by hand ------------------------------

@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include "src/common/rng.h"
+#include "src/net/introspect.h"
+#include "src/obs/json.h"
 #include "src/wire/frame_io.h"
 #include "src/wire/wire_convert.h"
 #include "src/wire/wire_format.h"
@@ -122,6 +124,51 @@ WireShardResult RandomResult(SecureRng& rng) {
     }
   }
   return r;
+}
+
+// The session opener's hellos and ack plus the admin plane's four
+// payloads, one random value each, handed to `check` (a generic lambda).
+template <typename Check>
+void ForEachHandshakeAndAdminValue(SecureRng& rng, Check&& check) {
+  WireServerHello server_hello;
+  server_hello.version = static_cast<uint8_t>(rng.UniformBelow(4));
+  server_hello.pid = rng.NextU64();
+  server_hello.server_id = rng.UniformBelow(16);
+  rng.FillBytes(server_hello.nonce.data(), server_hello.nonce.size());
+  check(server_hello);
+
+  WireClientHello client_hello;
+  rng.FillBytes(client_hello.nonce.data(), client_hello.nonce.size());
+  check(client_hello);
+
+  WireSetupAck ack;
+  rng.FillBytes(ack.params_digest.data(), ack.params_digest.size());
+  ack.server_id = rng.UniformBelow(16);
+  check(ack);
+
+  WireHealthProbe probe;
+  probe.nonce = rng.NextU64() | 1;  // nonzero
+  check(probe);
+
+  WireHealthReply reply;
+  reply.nonce = probe.nonce;
+  reply.server_id = rng.UniformBelow(16);
+  reply.uptime_ms = rng.UniformBelow(1u << 30);
+  rng.FillBytes(reply.params_digest.data(), reply.params_digest.size());
+  reply.inflight_shards = rng.UniformBelow(64);
+  reply.queue_depth = rng.UniformBelow(64);
+  check(reply);
+
+  WireStatsRequest request;
+  request.include_spans = static_cast<uint8_t>(rng.UniformBelow(2));
+  check(request);
+
+  WireStatsReply stats;
+  stats.server_id = rng.UniformBelow(16);
+  stats.stats_json = "{\"schema\":\"vdp.stats/v1\",\"counters\":{\"" + RandomReason(rng) +
+                     "\":" + std::to_string(rng.UniformBelow(1000)) +
+                     "},\"gauges\":{},\"histograms\":{}}";
+  check(stats);
 }
 
 // --- round-trip properties ----------------------------------------------
@@ -364,6 +411,10 @@ TEST(WireTruncation, EveryPrefixRejected) {
   WireError error;
   error.message = "diagnostic";
   ExpectAllTruncationsRejected(error);
+  for (int iter = 0; iter < 10; ++iter) {
+    ForEachHandshakeAndAdminValue(rng,
+                                  [](const auto& value) { ExpectAllTruncationsRejected(value); });
+  }
 }
 
 TEST(WireTruncation, FramePrefixesRejected) {
@@ -406,10 +457,21 @@ TEST(WireBitFlips, EverySingleBitFlipIsSound) {
     ExpectBitFlipsSound(RandomSetup(rng), &parsed_ok, &rejected);
     ExpectBitFlipsSound(RandomTask(rng), &parsed_ok, &rejected);
     ExpectBitFlipsSound(RandomResult(rng), &parsed_ok, &rejected);
+    ForEachHandshakeAndAdminValue(rng, [&](const auto& value) {
+      ExpectBitFlipsSound(value, &parsed_ok, &rejected);
+    });
   }
   // Sanity: the corpus exercised both outcomes.
   EXPECT_GT(parsed_ok, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+template <typename T>
+void ExpectCanonicalIfDecodes(const Bytes& soup) {
+  auto decoded = T::Deserialize(soup);
+  if (decoded.has_value()) {
+    EXPECT_EQ(decoded->Serialize(), soup);
+  }
 }
 
 // Random byte soup thrown at every decoder: nothing may crash, and headers
@@ -422,9 +484,20 @@ TEST(WireBitFlips, RandomBufferSoupIsSound) {
     (void)WireError::Deserialize(view);
     (void)WireSetup::Deserialize(view);
     (void)WireShardTask::Deserialize(view);
-    auto result = WireShardResult::Deserialize(view);
-    if (result.has_value()) {
-      EXPECT_EQ(result->Serialize(), soup);
+    ExpectCanonicalIfDecodes<WireShardResult>(soup);
+    ExpectCanonicalIfDecodes<WireServerHello>(soup);
+    ExpectCanonicalIfDecodes<WireClientHello>(soup);
+    ExpectCanonicalIfDecodes<WireSetupAck>(soup);
+    ExpectCanonicalIfDecodes<WireHealthProbe>(soup);
+    ExpectCanonicalIfDecodes<WireHealthReply>(soup);
+    ExpectCanonicalIfDecodes<WireStatsRequest>(soup);
+    ExpectCanonicalIfDecodes<WireStatsReply>(soup);
+    // The stats JSON a reply carries goes through the total parser and the
+    // snapshot decoder on the client.
+    auto json = obs::ParseJson(std::string_view(reinterpret_cast<const char*>(soup.data()),
+                                                soup.size()));
+    if (json.has_value()) {
+      (void)net::SnapshotFromJson(*json);
     }
     (void)DecodeFrame(view);
     if (soup.size() >= kFrameHeaderSize) {

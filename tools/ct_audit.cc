@@ -56,39 +56,71 @@ void Consume(const T& value) {
   CtCompilerBarrier(&value);
 }
 
+// The secret input of a check whose two classes differ only in its bytes.
+// Load() rewrites one buffer from the same two sources in both classes, so
+// the op touches the same addresses either way and only the values differ.
+// Two per-class buffers would let their placement in memory (a cache-line
+// split, say), not the code under test, separate the classes.
+class ClassInput {
+ public:
+  ClassInput(const Bytes& fixed, const Bytes& adversarial)
+      : fixed_(fixed), flip_(fixed.size()), live_(fixed) {
+    for (size_t i = 0; i < fixed_.size(); ++i) {
+      flip_[i] = static_cast<uint8_t>(fixed_[i] ^ adversarial[i]);
+    }
+    CtPoison(live_.data(), live_.size());
+  }
+
+  const Bytes& Load(bool adversarial) {
+    // Opaque, so the compiler cannot split the loop into one per class.
+    const uint8_t mask = CtOpaque(static_cast<uint8_t>(0u - uint8_t{adversarial}));
+    for (size_t i = 0; i < live_.size(); ++i) {
+      live_[i] = static_cast<uint8_t>(fixed_[i] ^ (flip_[i] & mask));
+    }
+    return live_;
+  }
+
+ private:
+  Bytes fixed_;
+  Bytes flip_;  // fixed ^ adversarial
+  Bytes live_;
+};
+
 std::vector<CheckSpec> BuildChecks() {
   std::vector<CheckSpec> checks;
   SecureRng rng("ct-audit-inputs");
 
   // -- required: the comparison every MAC/digest verdict routes through.
+  // Both classes compare against one probe buffer whose byte 0 the op
+  // stores per class (one buffer for the reason ClassInput gives): equal,
+  // or a first-byte difference, the early-exit worst case for a naive
+  // compare.
   {
     auto secret = std::make_shared<Bytes>(rng.RandomBytes(32));
-    auto equal = std::make_shared<Bytes>(*secret);
-    auto differs = std::make_shared<Bytes>(*secret);
-    (*differs)[0] ^= 0x01;  // early-exit worst case for a naive compare
+    auto probe = std::make_shared<Bytes>(*secret);
+    const uint8_t first = (*secret)[0];
     CtPoison(secret->data(), secret->size());
     checks.push_back({"ConstantTimeEqual/32B", CheckKind::kRequiredConstantTime,
                       [=](bool adversarial) {
-                        const Bytes& probe = adversarial ? *differs : *equal;
-                        bool ok = ConstantTimeEqual(*secret, probe);
+                        (*probe)[0] = static_cast<uint8_t>(first ^ uint8_t{adversarial});
+                        bool ok = ConstantTimeEqual(*secret, *probe);
                         CtUnpoison(&ok, sizeof(ok));
                         Consume(ok);
                       }});
   }
 
-  // -- required: full HMAC verification path (tag recompute + CT compare).
+  // -- required: full HMAC verification path (tag recompute + CT compare),
+  // with the expected tag's byte 0 stored per class the same way.
   {
     auto key = std::make_shared<Bytes>(rng.RandomBytes(32));
     auto msg = std::make_shared<Bytes>(rng.RandomBytes(256));
-    auto good = std::make_shared<HmacSha256::Tag>(HmacSha256::Mac(*key, *msg));
-    auto bad = std::make_shared<HmacSha256::Tag>(*good);
-    (*bad)[0] ^= 0x01;
+    auto expected = std::make_shared<HmacSha256::Tag>(HmacSha256::Mac(*key, *msg));
+    const uint8_t first = (*expected)[0];
     CtPoison(key->data(), key->size());
     checks.push_back({"HmacSha256::Verify", CheckKind::kRequiredConstantTime,
                       [=](bool adversarial) {
-                        const HmacSha256::Tag& expected = adversarial ? *bad : *good;
-                        bool ok = HmacSha256::Verify(
-                            expected, HmacSha256::Mac(*key, *msg));
+                        (*expected)[0] = static_cast<uint8_t>(first ^ uint8_t{adversarial});
+                        bool ok = HmacSha256::Verify(*expected, HmacSha256::Mac(*key, *msg));
                         CtUnpoison(&ok, sizeof(ok));
                         Consume(ok);
                       }});
@@ -96,30 +128,25 @@ std::vector<CheckSpec> BuildChecks() {
 
   // -- required: MAC computation must not branch on key bytes.
   {
-    auto fixed_key = std::make_shared<Bytes>(rng.RandomBytes(32));
-    auto sparse_key = std::make_shared<Bytes>(Bytes(32, 0x00));  // degenerate key
+    // Random key vs the degenerate all-zero key.
+    auto key = std::make_shared<ClassInput>(rng.RandomBytes(32), Bytes(32, 0x00));
     auto msg = std::make_shared<Bytes>(rng.RandomBytes(256));
-    CtPoison(fixed_key->data(), fixed_key->size());
     checks.push_back({"HmacSha256::Mac/key-classes", CheckKind::kRequiredConstantTime,
                       [=](bool adversarial) {
-                        const Bytes& key = adversarial ? *sparse_key : *fixed_key;
-                        Consume(HmacSha256::Mac(key, *msg));
+                        Consume(HmacSha256::Mac(key->Load(adversarial), *msg));
                       }});
   }
 
   // -- required: session-key derivation over the fleet's pre-shared secret.
   {
-    auto fixed_secret = std::make_shared<Bytes>(rng.RandomBytes(32));
-    auto sparse_secret = std::make_shared<Bytes>(Bytes(32, 0xFF));
+    // Random secret vs the all-ones secret.
+    auto secret = std::make_shared<ClassInput>(rng.RandomBytes(32), Bytes(32, 0xFF));
     auto server_nonce = std::make_shared<Bytes>(rng.RandomBytes(16));
     auto client_nonce = std::make_shared<Bytes>(rng.RandomBytes(16));
-    CtPoison(fixed_secret->data(), fixed_secret->size());
     checks.push_back({"net::DeriveSessionKey", CheckKind::kRequiredConstantTime,
                       [=](bool adversarial) {
-                        const Bytes& secret =
-                            adversarial ? *sparse_secret : *fixed_secret;
-                        Consume(net::DeriveSessionKey(secret, *server_nonce,
-                                                      *client_nonce));
+                        Consume(net::DeriveSessionKey(secret->Load(adversarial),
+                                                      *server_nonce, *client_nonce));
                       }});
   }
 

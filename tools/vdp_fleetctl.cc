@@ -13,10 +13,11 @@
 //   vdp_fleetctl watch  --endpoints ... --auth-key-file F
 //                [--interval MS] [--timeout MS] [--count N]
 //
-// status  probes each endpoint --probes times (default 2) through the same
-//         HealthRegistry state machine the fleet driver uses, then reports
-//         the judged state per endpoint. A hung server therefore shows as
-//         "degraded" (or "dead" with enough probes), not as a tool timeout.
+// status  probes each endpoint --probes times (default 2) through the
+//         HealthRegistry state machine (src/net/health.h), then reports
+//         the judged state per endpoint, in --endpoints order. A hung
+//         server therefore shows as "degraded" (or "dead" with enough
+//         probes), not as a tool timeout.
 //         --json emits a vdp.fleetctl/v1 document for scripts and CI.
 // stats   fetches each server's vdp.stats/v1 dump: counters, gauges, and
 //         histograms with p50/p90/p99. --json prints the raw per-endpoint
@@ -40,7 +41,6 @@
 #include "src/common/bytes.h"
 #include "src/common/hex.h"
 #include "src/net/auth.h"
-#include "src/net/health.h"
 #include "src/net/introspect.h"
 #include "src/obs/json.h"
 
@@ -113,28 +113,6 @@ bool LoadAuthKey(const std::string& key_file, Bytes* out) {
   return true;
 }
 
-// One status sweep: `probes` rounds against every endpoint, judged by a
-// fresh HealthRegistry with the default (driver) policy.
-std::vector<net::EndpointStatus> RunStatusSweep(const Options& options,
-                                                const Bytes& auth_key) {
-  net::HealthRegistry registry;
-  net::HealthProber::ProbeFn probe = net::SocketProbeFn(auth_key);
-  for (const std::string& endpoint : options.endpoints) {
-    registry.AddEndpoint(endpoint);
-  }
-  for (int round = 0; round < options.probes; ++round) {
-    for (const std::string& endpoint : options.endpoints) {
-      net::ProbeOutcome outcome = probe(endpoint, options.timeout_ms);
-      if (outcome.ok) {
-        registry.ReportProbeSuccess(endpoint, outcome.reply, outcome.rtt_us);
-      } else {
-        registry.ReportProbeFailure(endpoint, outcome.error);
-      }
-    }
-  }
-  return registry.Snapshot();
-}
-
 obs::JsonValue StatusToJson(const std::vector<net::EndpointStatus>& statuses) {
   obs::JsonValue endpoints = obs::JsonValue::Array();
   for (const net::EndpointStatus& s : statuses) {
@@ -187,7 +165,13 @@ bool AllHealthy(const std::vector<net::EndpointStatus>& statuses) {
 }
 
 int RunStatus(const Options& options, const Bytes& auth_key) {
-  std::vector<net::EndpointStatus> statuses = RunStatusSweep(options, auth_key);
+  // `probes` sweeps, judged by a fresh registry with the default policy;
+  // the last sweep's statuses are the verdict.
+  net::HealthRegistry registry;
+  std::vector<net::EndpointStatus> statuses;
+  for (int round = 0; round < options.probes; ++round) {
+    statuses = net::ProbeSweep(&registry, options.endpoints, auth_key, options.timeout_ms);
+  }
   if (options.json) {
     std::printf("%s\n", obs::WriteJson(StatusToJson(statuses)).c_str());
   } else {
@@ -271,29 +255,19 @@ int RunWatch(const Options& options, const Bytes& auth_key) {
   // One probe per endpoint per sweep; state accumulates across sweeps in
   // one long-lived registry, so watch shows real transitions over time.
   net::HealthRegistry registry;
-  net::HealthProber::ProbeFn probe = net::SocketProbeFn(auth_key);
-  for (const std::string& endpoint : options.endpoints) {
-    registry.AddEndpoint(endpoint);
-  }
+  std::vector<net::EndpointStatus> statuses;
   for (long sweep_index = 0; options.count < 0 || sweep_index < options.count;
        ++sweep_index) {
     if (sweep_index > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(options.interval_ms));
     }
-    for (const std::string& endpoint : options.endpoints) {
-      net::ProbeOutcome outcome = probe(endpoint, options.timeout_ms);
-      if (outcome.ok) {
-        registry.ReportProbeSuccess(endpoint, outcome.reply, outcome.rtt_us);
-      } else {
-        registry.ReportProbeFailure(endpoint, outcome.error);
-      }
-    }
-    for (const net::EndpointStatus& s : registry.Snapshot()) {
+    statuses = net::ProbeSweep(&registry, options.endpoints, auth_key, options.timeout_ms);
+    for (const net::EndpointStatus& s : statuses) {
       PrintStatusLine(s);
     }
     std::fflush(stdout);
   }
-  return AllHealthy(registry.Snapshot()) ? 0 : 1;
+  return AllHealthy(statuses) ? 0 : 1;
 }
 
 int FleetctlMain(int argc, char** argv) {
@@ -332,6 +306,9 @@ int FleetctlMain(int argc, char** argv) {
         return Usage();
       }
       options.probes = std::atoi(v);
+      if (options.probes < 1) {
+        return Usage();  // a status with no probe has nothing to judge
+      }
     } else if (arg == "--interval") {
       const char* v = next();
       if (v == nullptr) {
