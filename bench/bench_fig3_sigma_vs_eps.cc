@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "src/common/timer.h"
+#include "src/core/coins.h"
 #include "src/dp/binomial.h"
-#include "src/sigma/or_proof.h"
 
 namespace {
 
@@ -17,7 +17,6 @@ constexpr double kDelta = 1.0 / 1024;  // 2^-10 as in Table 1
 
 template <typename G>
 void SweepGroup(size_t sample_cap) {
-  using S = typename G::Scalar;
   vdp::Pedersen<G> ped;
   vdp::SecureRng rng("fig3-" + G::Name());
   vdp::ThreadPool pool;
@@ -30,20 +29,13 @@ void SweepGroup(size_t sample_cap) {
     uint64_t nb = vdp::NumCoinsForPrivacy(eps, kDelta);
     size_t sample = static_cast<size_t>(std::min<uint64_t>(nb, sample_cap));
 
-    std::vector<int> bits(sample);
-    std::vector<S> rs(sample);
-    std::vector<typename G::Element> cs(sample);
-    for (size_t j = 0; j < sample; ++j) {
-      bits[j] = rng.NextBit() ? 1 : 0;
-      rs[j] = S::Random(rng);
-      cs[j] = ped.Commit(S::FromU64(bits[j]), rs[j]);
-    }
-
+    // Proving is the round's Lines 4-6 (CommitCoinBatch): draw, commit and
+    // prove; verifying is the paper's per-proof check.
     vdp::Stopwatch timer;
-    auto proofs = vdp::OrProveBatch(ped, cs, bits, rs, rng, "fig3", &pool);
+    vdp::CoinBatch<G> coins = vdp::CommitCoinBatch(ped, sample, rng, "fig3", &pool);
     double prove_us = timer.ElapsedMicros() / static_cast<double>(sample);
     timer.Reset();
-    bool ok = vdp::OrVerifyBatch(ped, cs, proofs, "fig3", &pool);
+    bool ok = vdp::OrVerifyBatch(ped, coins.commitments, coins.proofs, "fig3", &pool);
     double verify_us = timer.ElapsedMicros() / static_cast<double>(sample);
     if (!ok) {
       std::fprintf(stderr, "FATAL: verification failed\n");

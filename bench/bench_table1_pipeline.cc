@@ -6,19 +6,27 @@
 //   Sigma-proof 6609 | Sigma-verification 6708 | Morra 4987 | Aggregation 198
 //   | Check 263
 //
-// This container is 2 cores and the crypto is portable C++, so we measure
+// At the paper's full size the full-strength set takes minutes, so we measure
 // scaled runs and print the extrapolation to the paper's (n, nb) next to the
 // paper's numbers. Two parameter sets:
 //   schnorr-2048-q256 -- full-strength, the configuration the paper's 35us
 //                        exponentiation implies;
 //   modp-512          -- a fast safe-prime set for quick comparisons.
 // Set VDP_BENCH_FULL=1 to run modp-512 at the complete nb = 262144.
+//
+// The coin stages call the round's own code (src/core/coins.h): Sigma-proof
+// times CommitCoinBatch (Lines 4-6), Aggregation sums the clients and runs
+// FoldCoins (Lines 10-11), and Check multiplies the client commitments and
+// runs CheckFinalBin (Eq. 10), as Prover and PublicVerifier do. Only
+// Sigma-verification keeps the paper's per-proof OrVerifyBatch; the round
+// itself checks coin proofs with one RLC batch. The bench exits 1 when a
+// proof batch, Morra or Eq. 10 fails.
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "src/common/timer.h"
-#include "src/core/prover.h"
-#include "src/core/verifier.h"
+#include "src/core/coins.h"
 #include "src/dp/binomial.h"
 #include "src/morra/morra.h"
 
@@ -54,24 +62,14 @@ Row RunPipeline(size_t num_clients, size_t nb, vdp::ThreadPool& pool) {
     client_commitments[i] = ped.Commit(values[i], randomness[i]);
   });
 
-  // --- Sigma-proof ---------------------------------------------------------
-  std::vector<int> bits(nb);
-  std::vector<S> coin_rand(nb);
-  std::vector<typename G::Element> coin_commitments(nb);
-  for (size_t j = 0; j < nb; ++j) {
-    bits[j] = rng.NextBit() ? 1 : 0;
-    coin_rand[j] = S::Random(rng);
-  }
+  // --- Sigma-proof (Lines 4-6: draw, commit and prove the coins) ----------
   timer.Reset();
-  pool.ParallelFor(nb, [&](size_t j) {
-    coin_commitments[j] = ped.Commit(S::FromU64(bits[j]), coin_rand[j]);
-  });
-  auto proofs = vdp::OrProveBatch(ped, coin_commitments, bits, coin_rand, rng, "t1", &pool);
+  vdp::CoinBatch<G> coins = vdp::CommitCoinBatch(ped, nb, rng, "t1", &pool);
   row.sigma_prove_ms = timer.ElapsedMillis();
 
-  // --- Sigma-verification --------------------------------------------------
+  // --- Sigma-verification (the paper's per-proof check) --------------------
   timer.Reset();
-  bool ok = vdp::OrVerifyBatch(ped, coin_commitments, proofs, "t1", &pool);
+  bool ok = vdp::OrVerifyBatch(ped, coins.commitments, coins.proofs, "t1", &pool);
   row.sigma_verify_ms = timer.ElapsedMillis();
   if (!ok) {
     std::fprintf(stderr, "FATAL: proofs failed\n");
@@ -90,7 +88,7 @@ Row RunPipeline(size_t num_clients, size_t nb, vdp::ThreadPool& pool) {
     std::exit(1);
   }
 
-  // --- Aggregation ----------------------------------------------------------
+  // --- Aggregation (Lines 10-11) ------------------------------------------
   timer.Reset();
   S y = S::Zero();
   S z = S::Zero();
@@ -98,30 +96,16 @@ Row RunPipeline(size_t num_clients, size_t nb, vdp::ThreadPool& pool) {
     y += values[i];
     z += randomness[i];
   }
-  for (size_t j = 0; j < nb; ++j) {
-    int v_hat = outcome.coins[j] ? 1 - bits[j] : bits[j];
-    y += S::FromU64(static_cast<uint64_t>(v_hat));
-    if (outcome.coins[j]) {
-      z -= coin_rand[j];
-    } else {
-      z += coin_rand[j];
-    }
-  }
+  vdp::FoldCoins(coins.bits, coins.randomness, outcome.coins, &y, &z);
   row.aggregate_ms = timer.ElapsedMillis();
 
-  // --- Check ----------------------------------------------------------------
+  // --- Check (Lines 12-13, Eq. 10) ------------------------------------------
   timer.Reset();
-  auto lhs = G::Identity();
+  auto client_product = G::Identity();
   for (size_t i = 0; i < num_clients; ++i) {
-    lhs = G::Mul(lhs, client_commitments[i]);
+    client_product = G::Mul(client_product, client_commitments[i]);
   }
-  for (size_t j = 0; j < nb; ++j) {
-    auto updated = outcome.coins[j]
-                       ? G::Mul(ped.Commit(S::One(), S::Zero()), G::Inverse(coin_commitments[j]))
-                       : coin_commitments[j];
-    lhs = G::Mul(lhs, updated);
-  }
-  bool check = (lhs == ped.Commit(y, z));
+  bool check = vdp::CheckFinalBin(ped, client_product, coins.commitments, outcome.coins, y, z);
   row.check_ms = timer.ElapsedMillis();
   if (!check) {
     std::fprintf(stderr, "FATAL: final check failed\n");
@@ -156,8 +140,8 @@ void PrintTable(const char* group, const Row& row, size_t n, size_t nb) {
 int main() {
   const bool full = std::getenv("VDP_BENCH_FULL") != nullptr;
   std::printf("Table 1 reproduction: Pi_Bin stage latencies\n");
-  std::printf("paper: n = %zu clients, nb = %zu coins, 8-core M1; this machine: 2 cores,\n",
-              kPaperClients, kPaperCoins);
+  std::printf("paper: n = %zu clients, nb = %zu coins, 8-core M1; this machine: %u threads,\n",
+              kPaperClients, kPaperCoins, std::thread::hardware_concurrency());
   std::printf("portable C++. Extrapolation: coin stages scale by nb, client stages by n.\n");
 
   vdp::ThreadPool pool;

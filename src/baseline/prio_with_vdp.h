@@ -23,8 +23,7 @@
 #include <vector>
 
 #include "src/commit/pedersen.h"
-#include "src/morra/morra.h"
-#include "src/sigma/or_proof.h"
+#include "src/core/coins.h"
 
 namespace vdp {
 
@@ -40,7 +39,8 @@ struct RetrofitProof {
 
 // Server side: given the (plaintext) aggregate share X_k from the PRIO
 // pipeline, produce the noisy output plus the verifiability evidence.
-// `public_bits` must come from a joint Morra run with the verifier.
+// `public_bits` must come from a joint Morra run with the verifier and hold
+// one bit per coin.
 template <PrimeOrderGroup G>
 RetrofitProof<G> RetrofitNoise(const typename G::Scalar& aggregate_share, size_t num_coins,
                                const std::vector<bool>& public_bits, const Pedersen<G>& ped,
@@ -53,55 +53,26 @@ RetrofitProof<G> RetrofitNoise(const typename G::Scalar& aggregate_share, size_t
   S big_r = S::Random(rng);
   proof.aggregate_commitment = ped.Commit(aggregate_share, big_r);
 
-  std::vector<int> bits(num_coins);
-  std::vector<S> coin_rand(num_coins);
-  proof.coin_commitments.resize(num_coins);
-  for (size_t j = 0; j < num_coins; ++j) {
-    bits[j] = rng.NextBit() ? 1 : 0;
-    coin_rand[j] = S::Random(rng);
-    proof.coin_commitments[j] = ped.Commit(S::FromU64(bits[j]), coin_rand[j]);
-  }
-  proof.coin_proofs =
-      OrProveBatch(ped, proof.coin_commitments, bits, coin_rand, rng, context, pool);
-
-  S y = aggregate_share;
-  S z = big_r;
-  for (size_t j = 0; j < num_coins; ++j) {
-    int v_hat = public_bits[j] ? 1 - bits[j] : bits[j];
-    y += S::FromU64(static_cast<uint64_t>(v_hat));
-    if (public_bits[j]) {
-      z -= coin_rand[j];
-    } else {
-      z += coin_rand[j];
-    }
-  }
-  proof.y = y;
-  proof.z = z;
+  CoinBatch<G> coins = CommitCoinBatch(ped, num_coins, rng, context, pool);
+  proof.y = aggregate_share;
+  proof.z = big_r;
+  FoldCoins(coins.bits, coins.randomness, public_bits, &proof.y, &proof.z);
+  proof.coin_commitments = std::move(coins.commitments);
+  proof.coin_proofs = std::move(coins.proofs);
   return proof;
 }
 
 // Verifier side: checks that the published y is the committed aggregate plus
-// faithfully generated Binomial noise.
+// faithfully generated Binomial noise -- Pi_Bin's Lines 5-6 and Eq. 10 with
+// the aggregate commitment in place of the client product.
 template <PrimeOrderGroup G>
 bool RetrofitVerify(const RetrofitProof<G>& proof, const Pedersen<G>& ped,
                     const std::string& context, ThreadPool* pool = nullptr) {
-  using S = typename G::Scalar;
-  const size_t nb = proof.coin_commitments.size();
-  if (proof.coin_proofs.size() != nb || proof.public_bits.size() != nb) {
-    return false;
-  }
-  if (!OrVerifyBatch(ped, proof.coin_commitments, proof.coin_proofs, context, pool)) {
-    return false;
-  }
-  auto lhs = proof.aggregate_commitment;
-  for (size_t j = 0; j < nb; ++j) {
-    auto updated = proof.public_bits[j]
-                       ? G::Mul(ped.Commit(S::One(), S::Zero()),
-                                G::Inverse(proof.coin_commitments[j]))
-                       : proof.coin_commitments[j];
-    lhs = G::Mul(lhs, updated);
-  }
-  return lhs == ped.Commit(proof.y, proof.z);
+  std::vector<OrInstance<G>> instances;
+  return AddCoinInstances(proof.coin_commitments, proof.coin_proofs, context, &instances) &&
+         BatchOrVerify(ped, instances, pool) &&
+         CheckFinalBin(ped, proof.aggregate_commitment, proof.coin_commitments,
+                       proof.public_bits, proof.y, proof.z);
 }
 
 }  // namespace vdp

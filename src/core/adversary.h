@@ -115,72 +115,21 @@ template <PrimeOrderGroup G>
 ClientBundle<G> MakeNonBitClientBundle(uint64_t value, size_t client_index,
                                        const ProtocolConfig& config, const Pedersen<G>& ped,
                                        SecureRng& rng) {
-  using S = typename G::Scalar;
-  const size_t k = config.num_provers;
-  const size_t m = config.num_bins;
-  ClientBundle<G> bundle;
-  bundle.shares.resize(k);
-  bundle.upload.commitments.resize(k);
-  for (size_t p = 0; p < k; ++p) {
-    bundle.shares[p].values.resize(m);
-    bundle.shares[p].randomness.resize(m);
-    bundle.upload.commitments[p].resize(m);
-  }
-  S total_randomness = S::Zero();
-  for (size_t bin = 0; bin < m; ++bin) {
-    uint64_t x = (bin == 0) ? value : 0;  // illegal weight in bin 0
-    auto value_shares = ShareAdditive(S::FromU64(x), k, rng);
-    S bin_randomness = S::Zero();
-    auto aggregated = G::Identity();
-    for (size_t p = 0; p < k; ++p) {
-      S r = S::Random(rng);
-      bundle.shares[p].values[bin] = value_shares[p];
-      bundle.shares[p].randomness[bin] = r;
-      bundle.upload.commitments[p][bin] = ped.Commit(value_shares[p], r);
-      aggregated = G::Mul(aggregated, bundle.upload.commitments[p][bin]);
-      bin_randomness += r;
-    }
-    total_randomness += bin_randomness;
-    bundle.upload.bin_proofs.push_back(
-        OrProve(ped, aggregated, static_cast<int>(x != 0), bin_randomness, rng,
-                ClientProofContext(config.session_id, client_index, bin)));
-  }
-  bundle.upload.sum_randomness = total_randomness;
-  return bundle;
+  std::vector<uint64_t> values(config.num_bins, 0);
+  values[0] = value;  // illegal weight in bin 0
+  return MakeClientBundleFromValues<G>(values, client_index, config, ped, rng);
 }
 
-// Votes in two bins at once (each bin individually a valid bit, so the OR
-// proofs verify); only the sum-to-one check can catch it.
+// Votes in bins 0 and 1 at once (each bin individually a valid bit, so the OR
+// proofs verify); only the sum-to-one check can catch it: the committed
+// values sum to 2, so Com(1, sum_randomness) cannot match.
 template <PrimeOrderGroup G>
 ClientBundle<G> MakeDoubleVoteClientBundle(size_t client_index, const ProtocolConfig& config,
                                            const Pedersen<G>& ped, SecureRng& rng) {
-  // Build an honest bundle for choice 0, then rebuild bin 1 as another vote.
-  ClientBundle<G> bundle = MakeClientBundle<G>(0, client_index, config, ped, rng);
-  using S = typename G::Scalar;
-  const size_t k = config.num_provers;
-  auto value_shares = ShareAdditive(S::One(), k, rng);
-  S bin_randomness = S::Zero();
-  auto aggregated = G::Identity();
-  for (size_t p = 0; p < k; ++p) {
-    S r = S::Random(rng);
-    bundle.shares[p].values[1] = value_shares[p];
-    bundle.shares[p].randomness[1] = r;
-    bundle.upload.commitments[p][1] = ped.Commit(value_shares[p], r);
-    aggregated = G::Mul(aggregated, bundle.upload.commitments[p][1]);
-    bin_randomness += r;
-  }
-  bundle.upload.bin_proofs[1] = OrProve(ped, aggregated, 1, bin_randomness, rng,
-                                        ClientProofContext(config.session_id, client_index, 1));
-  // Recompute claimed sum randomness honestly; the sum of committed values is
-  // now 2, so Com(1, sum_randomness) cannot match no matter what they claim.
-  S total = S::Zero();
-  for (size_t p = 0; p < k; ++p) {
-    for (size_t bin = 0; bin < config.num_bins; ++bin) {
-      total += bundle.shares[p].randomness[bin];
-    }
-  }
-  bundle.upload.sum_randomness = total;
-  return bundle;
+  std::vector<uint64_t> values(config.num_bins, 0);
+  values[0] = 1;
+  values[1] = 1;
+  return MakeClientBundleFromValues<G>(values, client_index, config, ped, rng);
 }
 
 // Publicly honest upload, but the share sent to prover 0 is garbage

@@ -176,8 +176,9 @@ AuditReport AuditTranscript(const PublicTranscript<G>& t, const ProtocolConfig& 
   using S = typename G::Scalar;
   std::vector<S> totals(bins, S::Zero());
 
-  // Eq. 10 (CheckFinalBin) indexes public_bits[k][bin][j] for every bin and
-  // coin, so an in-memory transcript must have the full (bins x nb) shape.
+  // An in-memory transcript must have the full (bins x nb) shape of public
+  // bits; a short row is refused here as malformed, before Eq. 10 would
+  // reject it as a failed check.
   const uint64_t nb = config.NumCoins();
   bool shape_ok = t.prover_coins.size() == config.num_provers &&
                   t.prover_outputs.size() == config.num_provers &&

@@ -41,12 +41,16 @@ inline std::string CoinProofContext(const std::string& session_id, size_t prover
          std::to_string(bin);
 }
 
-// Builds an honest client's messages. For M == 1, `choice` is the bit value
-// (0 or 1); for M > 1, `choice` selects the one-hot bin and must be < M.
+// Line 2 for explicit committed values, one per bin: shares values[bin]
+// among the K provers, commits every share, and proves each bin's aggregated
+// commitment a bit, claiming 1 for any nonzero value -- so a value outside
+// {0,1} yields a proof that cannot verify (the cheating clients of
+// src/core/adversary.h are built this way). sum_randomness opens the product
+// of all commitments to the sum of the values.
 template <PrimeOrderGroup G>
-ClientBundle<G> MakeClientBundle(uint32_t choice, size_t client_index,
-                                 const ProtocolConfig& config, const Pedersen<G>& ped,
-                                 SecureRng& rng) {
+ClientBundle<G> MakeClientBundleFromValues(const std::vector<uint64_t>& values,
+                                           size_t client_index, const ProtocolConfig& config,
+                                           const Pedersen<G>& ped, SecureRng& rng) {
   using S = typename G::Scalar;
   const size_t k = config.num_provers;
   const size_t m = config.num_bins;
@@ -70,9 +74,8 @@ ClientBundle<G> MakeClientBundle(uint32_t choice, size_t client_index,
   bundle.upload.bin_proofs.resize(m);
   S total_randomness = S::Zero();
   for (size_t bin = 0; bin < m; ++bin) {
-    bits[bin] = (m == 1) ? static_cast<int>(choice) : (choice == bin ? 1 : 0);
-    S value = S::FromU64(static_cast<uint64_t>(bits[bin]));
-    auto value_shares = ShareAdditive(value, k, rng);
+    bits[bin] = values[bin] != 0 ? 1 : 0;
+    auto value_shares = ShareAdditive(S::FromU64(values[bin]), k, rng);
 
     for (size_t p = 0; p < k; ++p) {
       S r = S::Random(rng);
@@ -80,7 +83,7 @@ ClientBundle<G> MakeClientBundle(uint32_t choice, size_t client_index,
       bundle.shares[p].randomness[bin] = r;
       bundle.upload.commitments[p][bin] = ped.Commit(value_shares[p], r);
       bin_randomness[bin] += r;
-      // Aggregated commitment c_{i,bin} = prod_k c_{i,k,bin} = Com(bit, sum r).
+      // Aggregated commitment c_{i,bin} = prod_k c_{i,k,bin} = Com(value, sum r).
       aggregated[bin] = G::Mul(aggregated[bin], bundle.upload.commitments[p][bin]);
     }
     total_randomness += bin_randomness[bin];
@@ -95,6 +98,20 @@ ClientBundle<G> MakeClientBundle(uint32_t choice, size_t client_index,
   }
   bundle.upload.sum_randomness = total_randomness;
   return bundle;
+}
+
+// Builds an honest client's messages. For M == 1, `choice` is the bit value
+// (0 or 1); for M > 1, `choice` selects the one-hot bin and must be < M.
+template <PrimeOrderGroup G>
+ClientBundle<G> MakeClientBundle(uint32_t choice, size_t client_index,
+                                 const ProtocolConfig& config, const Pedersen<G>& ped,
+                                 SecureRng& rng) {
+  const size_t m = config.num_bins;
+  std::vector<uint64_t> values(m);
+  for (size_t bin = 0; bin < m; ++bin) {
+    values[bin] = (m == 1) ? choice : (choice == bin ? 1 : 0);
+  }
+  return MakeClientBundleFromValues<G>(values, client_index, config, ped, rng);
 }
 
 // The structural half of the Line-3 check: upload shape, per-bin aggregated

@@ -45,13 +45,14 @@ struct ProtocolConfig {
 
   MorraMode morra_mode = MorraMode::kPedersen;
 
-  // Verify sigma proofs in batches: random-linear-combination checks over one
-  // multi-scalar multiplication (src/batch/) instead of per-proof
+  // Verify client upload proofs in batches: random-linear-combination checks
+  // over one multi-scalar multiplication (src/batch/) instead of per-proof
   // exponentiation chains. Accept/reject decisions match the per-proof path:
   // an all-valid batch always accepts, and on batch failure the verifier
-  // falls back to per-proof checks to attribute blame. For client uploads
-  // this selects the sharded backend (src/verify/factory.h); with
-  // num_verify_shards at 1 the whole stream is one batch.
+  // searches for the invalid proofs to attribute blame. This selects the
+  // sharded backend (src/verify/factory.h); with num_verify_shards at 1 the
+  // whole stream is one batch. Coin proofs (Lines 5-6) take one RLC check
+  // whatever this says.
   bool batch_verify = false;
 
   // Partition client uploads into this many contiguous shards for validation

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/client.h"
+#include "src/core/coins.h"
 #include "src/core/messages.h"
 #include "src/morra/morra.h"
 
@@ -45,11 +46,10 @@ class Prover {
     }
   }
 
-  // Line 4: sample private bits v_{j,bin} and commit; Lines 5-6 proofs ride
-  // along (Fiat-Shamir).
+  // Lines 4-6: sample private bits v_{j,bin}, commit and prove them (the
+  // coin pipeline of src/core/coins.h, one batch per bin).
   virtual ProverCoinsMsg<G> CommitCoins(ThreadPool* pool = nullptr) {
     const size_t bins = config_.num_bins;
-    const size_t nb = config_.NumCoins();
     private_bits_.assign(bins, {});
     coin_randomness_.assign(bins, {});
 
@@ -57,23 +57,12 @@ class Prover {
     msg.coin_commitments.resize(bins);
     msg.coin_proofs.resize(bins);
     for (size_t bin = 0; bin < bins; ++bin) {
-      std::vector<int> bits(nb);
-      std::vector<Scalar> rs(nb);
-      std::vector<Element> cs(nb);
-      // The draws stay sequential (the coins are a function of the seed);
-      // only the commitments fan out.
-      for (size_t j = 0; j < nb; ++j) {
-        bits[j] = rng_.NextBit() ? 1 : 0;
-        rs[j] = Scalar::Random(rng_);
-      }
-      ForEachIndex(pool, nb, [&](size_t j) {
-        cs[j] = ped_.Commit(Scalar::FromU64(static_cast<uint64_t>(bits[j])), rs[j]);
-      });
-      msg.coin_proofs[bin] = OrProveBatch(ped_, cs, bits, rs, rng_,
-                                          CoinProofContext(config_.session_id, index_, bin), pool);
-      msg.coin_commitments[bin] = std::move(cs);
-      private_bits_[bin] = std::move(bits);
-      coin_randomness_[bin] = std::move(rs);
+      CoinBatch<G> coins = CommitCoinBatch(ped_, config_.NumCoins(), rng_,
+                                           CoinProofContext(config_.session_id, index_, bin), pool);
+      msg.coin_commitments[bin] = std::move(coins.commitments);
+      msg.coin_proofs[bin] = std::move(coins.proofs);
+      private_bits_[bin] = std::move(coins.bits);
+      coin_randomness_[bin] = std::move(coins.randomness);
     }
     return msg;
   }
@@ -92,31 +81,15 @@ class Prover {
     public_bits_ = bits;
   }
 
-  // Lines 10-11. The opening randomness for flipped coins enters with a
-  // negative sign because the verifier's Line-12 update replaces c' with
-  // Com(1,0) * c'^{-1} (see DESIGN.md erratum #1).
+  // Lines 10-11: the accepted clients' sums plus this prover's coins
+  // (FoldCoins).
   virtual ProverOutputMsg<G> ComputeOutput() {
-    const size_t bins = config_.num_bins;
-    const size_t nb = config_.NumCoins();
     ProverOutputMsg<G> out;
-    out.y.resize(bins, Scalar::Zero());
-    out.z.resize(bins, Scalar::Zero());
-    for (size_t bin = 0; bin < bins; ++bin) {
-      Scalar y = share_sum_[bin];
-      Scalar z = randomness_sum_[bin];
-      for (size_t j = 0; j < nb; ++j) {
-        bool b = public_bits_[bin][j];
-        int v = private_bits_[bin][j];
-        int v_hat = b ? 1 - v : v;  // v XOR b, valid because v is a bit
-        y += Scalar::FromU64(static_cast<uint64_t>(v_hat));
-        if (b) {
-          z -= coin_randomness_[bin][j];
-        } else {
-          z += coin_randomness_[bin][j];
-        }
-      }
-      out.y[bin] = y;
-      out.z[bin] = z;
+    out.y = share_sum_;
+    out.z = randomness_sum_;
+    for (size_t bin = 0; bin < config_.num_bins; ++bin) {
+      FoldCoins(private_bits_[bin], coin_randomness_[bin], public_bits_[bin], &out.y[bin],
+                &out.z[bin]);
     }
     return out;
   }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "src/commit/pedersen.h"
-#include "src/sigma/or_proof.h"
+#include "src/core/coins.h"
 
 namespace vdp {
 
@@ -83,20 +83,18 @@ SimulatedCuratorTranscript<G> SimulateCurator(
   return sim;
 }
 
-// Replays the verifier's algebraic checks (Lines 12-13) on a transcript.
+// Replays the verifier's Lines 12-13 on a transcript: Eq. 10 (CheckFinalBin)
+// with the product of the client commitments as its base.
 template <PrimeOrderGroup G>
 bool VerifyCuratorTranscript(const Pedersen<G>& ped,
                              const std::vector<typename G::Element>& client_commitments,
                              const SimulatedCuratorTranscript<G>& transcript) {
-  auto lhs = G::Identity();
+  auto product = G::Identity();
   for (const auto& c : client_commitments) {
-    lhs = G::Mul(lhs, c);
+    product = G::Mul(product, c);
   }
-  for (size_t j = 0; j < transcript.coin_commitments.size(); ++j) {
-    lhs = G::Mul(lhs, UpdateCommitment(ped, transcript.coin_commitments[j],
-                                       transcript.public_bits[j]));
-  }
-  return lhs == ped.Commit(transcript.y, transcript.z);
+  return CheckFinalBin(ped, product, transcript.coin_commitments, transcript.public_bits,
+                       transcript.y, transcript.z);
 }
 
 }  // namespace vdp

@@ -8,8 +8,8 @@
 
 #include <vector>
 
-#include "src/batch/batch_or_proof.h"
 #include "src/core/client.h"
+#include "src/core/coins.h"
 #include "src/core/messages.h"
 #include "src/core/verdict.h"
 #include "src/verify/factory.h"
@@ -59,6 +59,9 @@ class PublicVerifier {
   }
 
   // Lines 5-6: every private coin commitment must prove membership in LBit.
+  // All bins' coin proofs go into one RLC check (BatchOrVerify): an all-valid
+  // message always accepts (completeness is exact), and a failed batch
+  // implies some proof is invalid, so the verdict is per-coin OrVerify's.
   bool CheckCoinProofs(size_t prover_index, const ProverCoinsMsg<G>& msg,
                        ThreadPool* pool = nullptr) const {
     const size_t bins = config_.num_bins;
@@ -66,33 +69,17 @@ class PublicVerifier {
     if (msg.coin_commitments.size() != bins || msg.coin_proofs.size() != bins) {
       return false;
     }
+    std::vector<OrInstance<G>> instances;
+    instances.reserve(bins * nb);
     for (size_t bin = 0; bin < bins; ++bin) {
-      if (msg.coin_commitments[bin].size() != nb || msg.coin_proofs[bin].size() != nb) {
+      if (msg.coin_commitments[bin].size() != nb ||
+          !AddCoinInstances(msg.coin_commitments[bin], msg.coin_proofs[bin],
+                            CoinProofContext(config_.session_id, prover_index, bin),
+                            &instances)) {
         return false;
       }
     }
-    if (config_.batch_verify) {
-      // All bins' coin proofs in one RLC check. An all-valid message always
-      // accepts (completeness is exact), and a failed batch implies some
-      // proof is invalid, so the boolean verdict matches the per-proof path.
-      std::vector<OrInstance<G>> instances;
-      instances.reserve(bins * nb);
-      for (size_t bin = 0; bin < bins; ++bin) {
-        std::string context = CoinProofContext(config_.session_id, prover_index, bin);
-        for (size_t j = 0; j < nb; ++j) {
-          instances.push_back({msg.coin_commitments[bin][j], msg.coin_proofs[bin][j],
-                               context + "/" + std::to_string(j)});
-        }
-      }
-      return BatchOrVerify(ped_, instances, pool);
-    }
-    for (size_t bin = 0; bin < bins; ++bin) {
-      if (!OrVerifyBatch(ped_, msg.coin_commitments[bin], msg.coin_proofs[bin],
-                         CoinProofContext(config_.session_id, prover_index, bin), pool)) {
-        return false;
-      }
-    }
-    return true;
+    return BatchOrVerify(ped_, instances, pool);
   }
 
   // Line 13 (Eq. 10) for prover k: the product of accepted client-share
@@ -120,11 +107,13 @@ class PublicVerifier {
                               const ProverOutputMsg<G>& output) const {
     const size_t bins = config_.num_bins;
     if (output.y.size() != bins || output.z.size() != bins ||
-        client_products.size() != bins) {
+        client_products.size() != bins || coins.coin_commitments.size() != bins ||
+        public_bits.size() != bins) {
       return false;
     }
     for (size_t bin = 0; bin < bins; ++bin) {
-      if (!CheckFinalBin(bin, client_products[bin], coins, public_bits, output)) {
+      if (!CheckFinalBin(ped_, client_products[bin], coins.coin_commitments[bin],
+                         public_bits[bin], output.y[bin], output.z[bin])) {
         return false;  // reject on the first bad bin, before touching the rest
       }
     }
@@ -132,32 +121,6 @@ class PublicVerifier {
   }
 
  private:
-  // One bin of Eq. 10: client_product times the updated coin commitments
-  // must open to (y_bin, z_bin). Line 12 folds the public bit into each coin
-  // commitment: when b = 1 the committed value flips to 1 - v without the
-  // verifier ever seeing v, Com(1,0) * Com(v,s)^{-1} = Com(1-v, -s). Over f
-  // flipped coins that is Com(f,0) * (prod of the flipped)^{-1}, so a bin
-  // costs one comb and one inversion however many coins flip.
-  bool CheckFinalBin(size_t bin, const Element& client_product, const ProverCoinsMsg<G>& coins,
-                     const std::vector<std::vector<bool>>& public_bits,
-                     const ProverOutputMsg<G>& output) const {
-    const size_t nb = config_.NumCoins();
-    Element lhs = client_product;
-    Element flipped = G::Identity();
-    uint64_t num_flipped = 0;
-    for (size_t j = 0; j < nb; ++j) {
-      if (public_bits[bin][j]) {
-        flipped = G::Mul(flipped, coins.coin_commitments[bin][j]);
-        ++num_flipped;
-      } else {
-        lhs = G::Mul(lhs, coins.coin_commitments[bin][j]);
-      }
-    }
-    lhs = G::Mul(lhs, G::Mul(ped_.Commit(Scalar::FromU64(num_flipped), Scalar::Zero()),
-                             G::Inverse(flipped)));
-    return lhs == ped_.Commit(output.y[bin], output.z[bin]);
-  }
-
   ProtocolConfig config_;
   Pedersen<G> ped_;
 };

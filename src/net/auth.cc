@@ -1,5 +1,10 @@
 #include "src/net/auth.h"
 
+#include <cctype>
+#include <cstdio>
+#include <cstdlib>
+
+#include "src/common/hex.h"
 #include "src/common/serialize.h"
 #include "src/obs/metrics.h"
 
@@ -23,6 +28,30 @@ void UpdateU64(HmacSha256* mac, uint64_t v) {
 }
 
 }  // namespace
+
+std::optional<Bytes> LoadAuthKey(const std::string& key_file) {
+  std::string key_hex;
+  if (!key_file.empty()) {
+    FILE* f = std::fopen(key_file.c_str(), "r");
+    if (f == nullptr) {
+      return std::nullopt;
+    }
+    char c;
+    while (std::fread(&c, 1, 1, f) == 1) {
+      if (!std::isspace(static_cast<unsigned char>(c))) {
+        key_hex.push_back(c);
+      }
+    }
+    std::fclose(f);
+  } else if (const char* env = std::getenv("VDP_REMOTE_AUTH_KEY")) {
+    key_hex = env;
+  }
+  std::optional<Bytes> key = HexDecode(key_hex);
+  if (!key.has_value() || key->size() < kMinAuthKeyBytes) {
+    return std::nullopt;
+  }
+  return key;
+}
 
 SessionKey DeriveSessionKey(BytesView shared_secret, BytesView server_nonce,
                             BytesView client_nonce) {

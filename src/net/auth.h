@@ -29,6 +29,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "src/common/hmac.h"
 #include "src/wire/frame_io.h"
@@ -40,6 +41,12 @@ namespace net {
 inline constexpr size_t kMacTagSize = HmacSha256::kTagSize;
 // The pre-shared fleet secret must carry at least this much entropy.
 inline constexpr size_t kMinAuthKeyBytes = 16;
+
+// Loads the fleet secret: the hex in `key_file` (whitespace ignored), or
+// $VDP_REMOTE_AUTH_KEY when `key_file` is empty. nullopt when the file
+// cannot be read, the hex is malformed, or the key is shorter than
+// kMinAuthKeyBytes.
+std::optional<Bytes> LoadAuthKey(const std::string& key_file);
 
 using SessionKey = std::array<uint8_t, HmacSha256::kTagSize>;
 

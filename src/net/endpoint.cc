@@ -55,5 +55,21 @@ std::string FormatEndpoint(const Endpoint& endpoint) {
   return "tcp:" + endpoint.host + ":" + std::to_string(endpoint.port);
 }
 
+std::vector<std::string> SplitEndpointList(const std::string& list) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  while (start <= list.size()) {
+    size_t comma = list.find(',', start);
+    if (comma == std::string::npos) {
+      comma = list.size();
+    }
+    if (comma > start) {
+      out.push_back(list.substr(start, comma - start));
+    }
+    start = comma + 1;
+  }
+  return out;
+}
+
 }  // namespace net
 }  // namespace vdp

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace vdp {
 namespace net {
@@ -35,6 +36,10 @@ std::optional<Endpoint> ParseEndpoint(const std::string& spec);
 
 // The canonical textual form; round-trips through ParseEndpoint.
 std::string FormatEndpoint(const Endpoint& endpoint);
+
+// Splits a comma-separated endpoint list ("tcp:a:1,unix:/s"), skipping empty
+// items. The items are not parsed.
+std::vector<std::string> SplitEndpointList(const std::string& list);
 
 }  // namespace net
 }  // namespace vdp

@@ -312,18 +312,7 @@ bool ApplyRemoteEnvHook(ProtocolConfig* config) {
     return true;
   }
   // Comma-separated endpoint list with the key from the environment.
-  std::vector<std::string> endpoints;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    if (comma > start) {
-      endpoints.push_back(spec.substr(start, comma - start));
-    }
-    start = comma + 1;
-  }
+  std::vector<std::string> endpoints = SplitEndpointList(spec);
   const char* key = std::getenv("VDP_REMOTE_AUTH_KEY");
   if (endpoints.empty() || key == nullptr) {
     return false;

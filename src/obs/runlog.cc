@@ -160,7 +160,6 @@ void RunLogWriter::Header(const RunHeader& header) {
   obj.Set("hardware_concurrency",
           JsonValue::Number(static_cast<double>(std::thread::hardware_concurrency())));
   obj.Set("pool_threads", JsonValue::Number(static_cast<double>(header.pool_threads)));
-  obj.Set("verify_workers", JsonValue::Number(static_cast<double>(header.verify_workers)));
   obj.Set("remote_endpoints",
           JsonValue::Number(static_cast<double>(header.remote_endpoints)));
   obj.Set("n_uploads", JsonValue::Number(static_cast<double>(header.n_uploads)));
@@ -295,8 +294,8 @@ bool ValidateRunLogLine(const JsonValue& line, std::string* error) {
     if (!IsString(line.Find("git_sha"))) {
       return Missing("header", "git_sha", error);
     }
-    for (const char* field : {"hardware_concurrency", "pool_threads", "verify_workers",
-                              "remote_endpoints", "n_uploads", "num_shards"}) {
+    for (const char* field : {"hardware_concurrency", "pool_threads", "remote_endpoints",
+                              "n_uploads", "num_shards"}) {
       if (!IsNumber(line.Find(field))) {
         return Missing("header", field, error);
       }

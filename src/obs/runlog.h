@@ -15,9 +15,9 @@
 // README "Observability"):
 //
 //   header     tool, git_sha, hardware_concurrency, and the honest
-//              concurrency story: pool_threads, verify_workers,
-//              remote_endpoints -- so a trend job can never again compare a
-//              1-core run against an 8-core run without noticing.
+//              concurrency story: pool_threads, remote_endpoints -- so a
+//              trend job can never again compare a 1-core run against an
+//              8-core run without noticing.
 //   stages     one verification run: scenario, backend, the named stage
 //              timings (ingest/verify/combine), total_ms, and counts.
 //   metric     one counter or gauge by canonical name (src/obs/metrics.h).
@@ -78,7 +78,6 @@ struct RunHeader {
   // The honest concurrency story (ISSUE 6): what parallelism this run
   // actually had available and used.
   uint64_t pool_threads = 0;      // in-process ThreadPool size (0 = none)
-  uint64_t verify_workers = 0;    // spawned local server fleet size
   uint64_t remote_endpoints = 0;  // socket fleet size
   std::string notes;              // free-form ("loopback", "--fault crash:0", ...)
 };

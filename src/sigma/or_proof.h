@@ -219,15 +219,13 @@ OrProof<G> OrProve(const Pedersen<G>& ped, const typename G::Element& c, int bit
   return proof;
 }
 
-// Verifies an OR proof against commitment c.
+// Checks an OR proof against an explicit challenge e: the sub-challenges
+// must add to e and both branch equations must hold. OrVerify supplies the
+// Fiat-Shamir e; interactive and simulated transcripts supply their own.
 template <PrimeOrderGroup G>
-bool OrVerify(const Pedersen<G>& ped, const typename G::Element& c, const OrProof<G>& proof,
-              const std::string& context = "") {
-  using S = typename G::Scalar;
+bool OrVerifyWithChallenge(const Pedersen<G>& ped, const typename G::Element& c,
+                           const OrProof<G>& proof, const typename G::Scalar& e) {
   using Ac = AccelOf<G>;
-
-  S e = OrChallenge(ped, c, proof.a0, proof.a1, context);
-
   if (proof.e0 + proof.e1 != e) {
     return false;
   }
@@ -240,10 +238,14 @@ bool OrVerify(const Pedersen<G>& ped, const typename G::Element& c, const OrProo
   // and the left side is two fixed-base comb lookups merged in the kernel.
   auto lhs = Ac::Lower(Ac::Add(ped.h_table().ExpAccum(proof.z1),
                                ped.g_table().ExpAccum(proof.e1)));
-  if (lhs != G::Mul(proof.a1, G::Exp(c, proof.e1))) {
-    return false;
-  }
-  return true;
+  return lhs == G::Mul(proof.a1, G::Exp(c, proof.e1));
+}
+
+// Verifies a Fiat-Shamir OR proof against commitment c.
+template <PrimeOrderGroup G>
+bool OrVerify(const Pedersen<G>& ped, const typename G::Element& c, const OrProof<G>& proof,
+              const std::string& context = "") {
+  return OrVerifyWithChallenge(ped, c, proof, OrChallenge(ped, c, proof.a0, proof.a1, context));
 }
 
 // Honest-verifier zero-knowledge simulator for the *interactive* protocol:
@@ -264,26 +266,6 @@ OrProof<G> OrSimulate(const Pedersen<G>& ped, const typename G::Element& c,
   auto target1 = Div<G>(c, ped.params().g);
   proof.a1 = G::Mul(ped.ExpH(proof.z1), G::Exp(target1, -proof.e1));
   return proof;
-}
-
-// Checks a simulated/interactive transcript against an explicit challenge.
-template <PrimeOrderGroup G>
-bool OrVerifyWithChallenge(const Pedersen<G>& ped, const typename G::Element& c,
-                           const OrProof<G>& proof, const typename G::Scalar& e) {
-  using Ac = AccelOf<G>;
-  if (proof.e0 + proof.e1 != e) {
-    return false;
-  }
-  if (ped.ExpH(proof.z0) != G::Mul(proof.a0, G::Exp(c, proof.e0))) {
-    return false;
-  }
-  // Same rearrangement as OrVerify: h^z1 * g^e1 == a1 * c^e1.
-  auto lhs = Ac::Lower(Ac::Add(ped.h_table().ExpAccum(proof.z1),
-                               ped.g_table().ExpAccum(proof.e1)));
-  if (lhs != G::Mul(proof.a1, G::Exp(c, proof.e1))) {
-    return false;
-  }
-  return true;
 }
 
 // Batch proving/verification across a thread pool. Proof i covers

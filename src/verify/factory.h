@@ -2,9 +2,10 @@
 // flags to a verification execution strategy.
 //
 // `batch_verify`, `num_verify_shards` and `remote_verifiers` are
-// config-surface only: SelectVerifyBackend is the whole selection policy,
-// and PublicVerifier, RunProtocol, and AuditTranscript never re-interpret
-// the flags themselves. A backend kind is nothing but a ShardExecutor and a
+// config-surface only: SelectVerifyBackend is the whole selection policy and
+// the only reader of the flags; PublicVerifier, RunProtocol, and
+// AuditTranscript never re-interpret them. (Coin proofs are not client
+// uploads: PublicVerifier::CheckCoinProofs always takes one RLC check.) A backend kind is nothing but a ShardExecutor and a
 // one-shot partition for the one VerifyBackend class (src/verify/backend.h).
 // Selected first match wins:
 //

@@ -208,29 +208,51 @@ TEST(BatchVerifierIntegrationTest, ValidateClientsAllHonest) {
   EXPECT_EQ(verifier.ValidateClients(uploads).size(), 8u);
 }
 
+// The per-coin oracle for CheckCoinProofs: OrVerify on every coin under the
+// context its prover bound it to.
+bool PerCoinVerdict(const Pedersen<G>& ped, const ProtocolConfig& config, size_t prover_index,
+                    const ProverCoinsMsg<G>& coins) {
+  for (size_t bin = 0; bin < coins.coin_commitments.size(); ++bin) {
+    const std::string context = CoinProofContext(config.session_id, prover_index, bin);
+    for (size_t j = 0; j < coins.coin_commitments[bin].size(); ++j) {
+      if (!OrVerify(ped, coins.coin_commitments[bin][j], coins.coin_proofs[bin][j],
+                    context + "/" + std::to_string(j))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Coin proofs take one RLC check whatever batch_verify says; its verdict
+// must be per-coin OrVerify's.
 TEST(BatchVerifierIntegrationTest, CheckCoinProofsMatchesPerProof) {
   SecureRng rng("batch-coins");
-  auto batch_config = BatchConfig(1, 2);
-  auto plain_config = batch_config;
-  plain_config.batch_verify = false;
+  auto config = BatchConfig(1, 2);
   Pedersen<G> ped;
-  Prover<G> prover(0, batch_config, ped, rng.Fork("prover"));
-  ProverCoinsMsg<G> coins = prover.CommitCoins();
-
-  PublicVerifier<G> batch_verifier(batch_config, ped);
-  PublicVerifier<G> plain_verifier(plain_config, ped);
-  EXPECT_TRUE(batch_verifier.CheckCoinProofs(0, coins));
-  EXPECT_TRUE(plain_verifier.CheckCoinProofs(0, coins));
+  Prover<G> prover(0, config, ped, rng.Fork("prover"));
+  const ProverCoinsMsg<G> coins = prover.CommitCoins();
 
   auto tampered = coins;
   tampered.coin_proofs[1][2].e1 += S::One();
-  EXPECT_FALSE(batch_verifier.CheckCoinProofs(0, tampered));
-  EXPECT_FALSE(plain_verifier.CheckCoinProofs(0, tampered));
-
   auto swapped = coins;
   std::swap(swapped.coin_proofs[0][0], swapped.coin_proofs[0][1]);
-  EXPECT_FALSE(batch_verifier.CheckCoinProofs(0, swapped));
-  EXPECT_FALSE(plain_verifier.CheckCoinProofs(0, swapped));
+  // A valid coin and proof from bin 0, replayed as bin 1's coin 0: its proof
+  // was made under bin 0's context.
+  auto cross_bin = coins;
+  cross_bin.coin_commitments[1][0] = coins.coin_commitments[0][0];
+  cross_bin.coin_proofs[1][0] = coins.coin_proofs[0][0];
+
+  for (bool batch_verify : {true, false}) {
+    config.batch_verify = batch_verify;
+    PublicVerifier<G> verifier(config, ped);
+    EXPECT_TRUE(PerCoinVerdict(ped, config, 0, coins));
+    EXPECT_TRUE(verifier.CheckCoinProofs(0, coins));
+    for (const ProverCoinsMsg<G>* bad : {&tampered, &swapped, &cross_bin}) {
+      EXPECT_FALSE(PerCoinVerdict(ped, config, 0, *bad));
+      EXPECT_FALSE(verifier.CheckCoinProofs(0, *bad)) << "batch_verify=" << batch_verify;
+    }
+  }
 }
 
 TEST(BatchVerifierIntegrationTest, EndToEndProtocolAndAuditWithBatchVerify) {

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "src/core/client.h"
+#include "src/core/verifier.h"
 #include "src/dp/binomial.h"
 
 namespace vdp {
@@ -131,6 +132,80 @@ TEST(SimulatorTest, UpdateCommitmentIsAnInvolution) {
   auto c = ped.Commit(S::FromU64(1), S::Random(rng));
   EXPECT_EQ(UpdateCommitment(ped, UpdateCommitment(ped, c, true), true), c);
   EXPECT_EQ(UpdateCommitment(ped, c, false), c);
+}
+
+// Lines 12-13 for the simulated transcript, run by the live verifier of a
+// K = 1, M = 1 round: the coin messages, public bits and (y, z) in the
+// shapes PublicVerifier consumes.
+struct LiveRound {
+  ProtocolConfig config;
+  G::Element client_product = G::Identity();
+  ProverCoinsMsg<G> coins;
+  std::vector<std::vector<bool>> public_bits;
+  ProverOutputMsg<G> output;
+
+  LiveRound(const Pedersen<G>& ped, SecureRng& rng) {
+    config.epsilon = 4.0;
+    config.num_provers = 1;
+    config.num_bins = 1;
+    const size_t nb = config.NumCoins();
+    auto commitments = MakeClientCommitments(ped, 6, 4, rng);
+    for (const auto& c : commitments) {
+      client_product = G::Mul(client_product, c);
+    }
+    auto transcript = SimulateCurator(ped, commitments, S::FromU64(4 + nb / 2), nb, rng);
+    coins.coin_commitments = {transcript.coin_commitments};
+    public_bits = {transcript.public_bits};
+    output.y = {transcript.y};
+    output.z = {transcript.z};
+  }
+
+  bool Check(const Pedersen<G>& ped) const {
+    return PublicVerifier<G>(config, ped)
+        .CheckFinalWithProducts({client_product}, coins, public_bits, output);
+  }
+};
+
+TEST(SimulatorTest, LivePublicVerifierAcceptsTheSimulatedTranscript) {
+  Pedersen<G> ped;
+  SecureRng rng("sim-live");
+  LiveRound round(ped, rng);
+  EXPECT_TRUE(round.Check(ped));
+
+  auto bad_bit = round;
+  bad_bit.public_bits[0][1] = !bad_bit.public_bits[0][1];
+  EXPECT_FALSE(bad_bit.Check(ped));
+  auto bad_y = round;
+  bad_y.output.y[0] += S::One();
+  EXPECT_FALSE(bad_y.Check(ped));
+}
+
+// A coin row and a public-bit row of different lengths, or a missing row,
+// must be refused before Eq. 10 indexes past either.
+TEST(SimulatorTest, CoinAndPublicBitCountMismatchRejected) {
+  Pedersen<G> ped;
+  SecureRng rng("sim-lengths");
+  LiveRound round(ped, rng);
+  ASSERT_TRUE(round.Check(ped));
+
+  auto short_bits = round;
+  short_bits.public_bits[0].pop_back();
+  EXPECT_FALSE(short_bits.Check(ped));
+  auto long_bits = round;
+  long_bits.public_bits[0].push_back(false);
+  EXPECT_FALSE(long_bits.Check(ped));
+  auto short_coins = round;
+  short_coins.coins.coin_commitments[0].pop_back();
+  EXPECT_FALSE(short_coins.Check(ped));
+  auto no_bit_rows = round;
+  no_bit_rows.public_bits.clear();
+  EXPECT_FALSE(no_bit_rows.Check(ped));
+  auto no_coin_rows = round;
+  no_coin_rows.coins.coin_commitments.clear();
+  EXPECT_FALSE(no_coin_rows.Check(ped));
+
+  EXPECT_FALSE(CheckFinalBin(ped, round.client_product, round.coins.coin_commitments[0],
+                             short_bits.public_bits[0], round.output.y[0], round.output.z[0]));
 }
 
 TEST(SimulatorTest, EmptyClientSetSupported) {

@@ -6,6 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "src/net/auth.h"
 
 namespace vdp {
@@ -82,6 +87,72 @@ TEST(SealOpenTest, EmptyPayloadSealsToJustTheTag) {
   auto opened = OpenPayload(key, kServerToClient, 0, wire::FrameType::kSetupAck, sealed);
   ASSERT_TRUE(opened.has_value());
   EXPECT_TRUE(opened->empty());
+}
+
+// LoadAuthKey reads $VDP_REMOTE_AUTH_KEY, which the test environment may
+// set for a spawned fleet; each case restores it.
+class LoadAuthKeyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (const char* env = std::getenv("VDP_REMOTE_AUTH_KEY")) {
+      saved_env_ = env;
+    }
+    unsetenv("VDP_REMOTE_AUTH_KEY");
+    path_ = ::testing::TempDir() + "auth_key_" + std::to_string(getpid()) + ".hex";
+  }
+
+  void TearDown() override {
+    std::remove(path_.c_str());
+    if (saved_env_.has_value()) {
+      setenv("VDP_REMOTE_AUTH_KEY", saved_env_->c_str(), 1);
+    } else {
+      unsetenv("VDP_REMOTE_AUTH_KEY");
+    }
+  }
+
+  void WriteKeyFile(const std::string& contents) {
+    FILE* f = std::fopen(path_.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(contents.c_str(), f);
+    std::fclose(f);
+  }
+
+  std::string path_;
+  std::optional<std::string> saved_env_;
+};
+
+TEST_F(LoadAuthKeyTest, KeyFileWhitespaceIsIgnored) {
+  WriteKeyFile("  0011223344556677\n\t8899aabb ccddeeff\r\n\n");
+  auto key = LoadAuthKey(path_);
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(*key, (Bytes{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa,
+                         0xbb, 0xcc, 0xdd, 0xee, 0xff}));
+}
+
+TEST_F(LoadAuthKeyTest, FallsBackToTheEnvironmentWithoutAFile) {
+  EXPECT_FALSE(LoadAuthKey("").has_value());  // neither source set
+  setenv("VDP_REMOTE_AUTH_KEY", "0102030405060708090a0b0c0d0e0f10", 1);
+  auto key = LoadAuthKey("");
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(key->size(), kMinAuthKeyBytes);
+  EXPECT_EQ((*key)[0], 0x01);
+  EXPECT_EQ((*key)[15], 0x10);
+
+  // A named file wins over the environment, even when it cannot be read.
+  WriteKeyFile(std::string(2 * kMinAuthKeyBytes, 'f'));
+  EXPECT_EQ(*LoadAuthKey(path_), Bytes(kMinAuthKeyBytes, 0xff));
+  EXPECT_FALSE(LoadAuthKey(path_ + ".missing").has_value());
+}
+
+TEST_F(LoadAuthKeyTest, ShortOrMalformedKeyRejected) {
+  WriteKeyFile(std::string(2 * kMinAuthKeyBytes - 2, 'a'));  // 15 bytes
+  EXPECT_FALSE(LoadAuthKey(path_).has_value());
+  WriteKeyFile(std::string(2 * kMinAuthKeyBytes - 1, 'a'));  // odd digit count
+  EXPECT_FALSE(LoadAuthKey(path_).has_value());
+  WriteKeyFile(std::string(2 * kMinAuthKeyBytes - 1, 'a') + "g");  // not hex
+  EXPECT_FALSE(LoadAuthKey(path_).has_value());
+  setenv("VDP_REMOTE_AUTH_KEY", "00112233", 1);
+  EXPECT_FALSE(LoadAuthKey("").has_value());
 }
 
 class AuthChannelTest : public ::testing::Test {

@@ -58,6 +58,19 @@ TEST(EndpointTest, RejectsMalformed) {
   }
 }
 
+TEST(EndpointTest, SplitEndpointListSkipsEmptyItems) {
+  EXPECT_EQ(SplitEndpointList("tcp:a:1,unix:/s"),
+            (std::vector<std::string>{"tcp:a:1", "unix:/s"}));
+  EXPECT_EQ(SplitEndpointList(",tcp:a:1,,tcp:b:2,"),
+            (std::vector<std::string>{"tcp:a:1", "tcp:b:2"}));
+  EXPECT_EQ(SplitEndpointList("tcp:a:1"), (std::vector<std::string>{"tcp:a:1"}));
+  EXPECT_TRUE(SplitEndpointList("").empty());
+  EXPECT_TRUE(SplitEndpointList(",,").empty());
+  // Items are split, not parsed.
+  EXPECT_EQ(SplitEndpointList("bogus, tcp:a:1"),
+            (std::vector<std::string>{"bogus", " tcp:a:1"}));
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace vdp

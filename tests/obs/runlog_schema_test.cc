@@ -71,7 +71,6 @@ TEST_F(RunLogSchemaTest, HeaderLineIsGolden) {
     header.n_uploads = 4096;
     header.num_shards = 8;
     header.pool_threads = 4;
-    header.verify_workers = 3;
     header.remote_endpoints = 2;
     header.notes = "schema pin";
     log->Header(header);
@@ -85,8 +84,8 @@ TEST_F(RunLogSchemaTest, HeaderLineIsGolden) {
   EXPECT_EQ(Keys(lines[0]),
             (std::set<std::string>{"schema", "kind", "t_ms", "pid", "tool", "git_sha",
                                    "hardware_concurrency", "pool_threads",
-                                   "verify_workers", "remote_endpoints", "n_uploads",
-                                   "num_shards", "group", "notes"}));
+                                   "remote_endpoints", "n_uploads", "num_shards", "group",
+                                   "notes"}));
   EXPECT_EQ(lines[0].StringOr("tool", ""), "golden_test");
   EXPECT_DOUBLE_EQ(lines[0].NumberOr("n_uploads", 0), 4096);
   EXPECT_DOUBLE_EQ(lines[0].NumberOr("pool_threads", 0), 4);

@@ -92,12 +92,11 @@ void RenderHeaders(const std::vector<ParsedLine>& lines) {
       continue;
     }
     const JsonValue& v = line.value;
-    std::printf("run: %s  git=%s  pid=%d  hw=%d  pool=%d workers=%d endpoints=%d",
+    std::printf("run: %s  git=%s  pid=%d  hw=%d  pool=%d endpoints=%d",
                 v.StringOr("tool", "?").c_str(), v.StringOr("git_sha", "?").c_str(),
                 static_cast<int>(v.NumberOr("pid", 0)),
                 static_cast<int>(v.NumberOr("hardware_concurrency", 0)),
                 static_cast<int>(v.NumberOr("pool_threads", 0)),
-                static_cast<int>(v.NumberOr("verify_workers", 0)),
                 static_cast<int>(v.NumberOr("remote_endpoints", 0)));
     if (v.NumberOr("n_uploads", 0) > 0) {
       std::printf("  n=%d", static_cast<int>(v.NumberOr("n_uploads", 0)));

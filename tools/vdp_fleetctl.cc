@@ -29,17 +29,16 @@
 // The fleet secret comes from --auth-key-file or $VDP_REMOTE_AUTH_KEY, same
 // as verify_server. Exit code: 0 when every endpoint answered healthy,
 // 1 when any endpoint is degraded/dead/unreachable, 2 on usage errors.
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/bytes.h"
-#include "src/common/hex.h"
 #include "src/net/auth.h"
 #include "src/net/introspect.h"
 #include "src/obs/json.h"
@@ -48,22 +47,6 @@ namespace vdp {
 namespace {
 
 inline constexpr const char* kFleetctlSchema = "vdp.fleetctl/v1";
-
-std::vector<std::string> SplitEndpoints(const std::string& spec) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    if (comma > start) {
-      out.push_back(spec.substr(start, comma - start));
-    }
-    start = comma + 1;
-  }
-  return out;
-}
 
 struct Options {
   std::string mode;
@@ -84,33 +67,6 @@ int Usage() {
                "       [--auth-key-file F] [--timeout MS] [--probes N]\n"
                "       [--interval MS] [--count N] [--json] [--prom] [--spans]\n");
   return 2;
-}
-
-// Same key sourcing as verify_server: hex file (whitespace ignored) or
-// $VDP_REMOTE_AUTH_KEY.
-bool LoadAuthKey(const std::string& key_file, Bytes* out) {
-  std::string key_hex;
-  if (!key_file.empty()) {
-    FILE* f = std::fopen(key_file.c_str(), "r");
-    if (f == nullptr) {
-      return false;
-    }
-    char c;
-    while (std::fread(&c, 1, 1, f) == 1) {
-      if (!std::isspace(static_cast<unsigned char>(c))) {
-        key_hex.push_back(c);
-      }
-    }
-    std::fclose(f);
-  } else if (const char* env = std::getenv("VDP_REMOTE_AUTH_KEY")) {
-    key_hex = env;
-  }
-  auto key = HexDecode(key_hex);
-  if (!key.has_value() || key->size() < net::kMinAuthKeyBytes) {
-    return false;
-  }
-  *out = std::move(*key);
-  return true;
 }
 
 obs::JsonValue StatusToJson(const std::vector<net::EndpointStatus>& statuses) {
@@ -287,7 +243,7 @@ int FleetctlMain(int argc, char** argv) {
       if (v == nullptr) {
         return Usage();
       }
-      options.endpoints = SplitEndpoints(v);
+      options.endpoints = net::SplitEndpointList(v);
     } else if (arg == "--auth-key-file") {
       const char* v = next();
       if (v == nullptr) {
@@ -336,8 +292,8 @@ int FleetctlMain(int argc, char** argv) {
     std::fprintf(stderr, "vdp_fleetctl: --endpoints is required\n");
     return Usage();
   }
-  Bytes auth_key;
-  if (!LoadAuthKey(options.key_file, &auth_key)) {
+  const std::optional<Bytes> auth_key = net::LoadAuthKey(options.key_file);
+  if (!auth_key.has_value()) {
     std::fprintf(stderr,
                  "vdp_fleetctl: no usable auth key (--auth-key-file or "
                  "$VDP_REMOTE_AUTH_KEY, hex, >= %zu bytes)\n",
@@ -345,12 +301,12 @@ int FleetctlMain(int argc, char** argv) {
     return 2;
   }
   if (options.mode == "status") {
-    return RunStatus(options, auth_key);
+    return RunStatus(options, *auth_key);
   }
   if (options.mode == "stats") {
-    return RunStats(options, auth_key);
+    return RunStats(options, *auth_key);
   }
-  return RunWatch(options, auth_key);
+  return RunWatch(options, *auth_key);
 }
 
 }  // namespace

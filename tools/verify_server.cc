@@ -61,17 +61,16 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "src/common/bytes.h"
-#include "src/common/hex.h"
 #include "src/common/rng.h"
 #include "src/group/registry.h"
 #include "src/net/auth.h"
@@ -540,26 +539,8 @@ int ServerMain(int argc, char** argv) {
     }
   }
 
-  std::string key_hex;
-  if (!key_file.empty()) {
-    FILE* f = std::fopen(key_file.c_str(), "r");
-    if (f == nullptr) {
-      std::fprintf(stderr, "verify_server: cannot read auth key file %s\n",
-                   key_file.c_str());
-      return 2;
-    }
-    char c;
-    while (std::fread(&c, 1, 1, f) == 1) {
-      if (!std::isspace(static_cast<unsigned char>(c))) {
-        key_hex.push_back(c);
-      }
-    }
-    std::fclose(f);
-  } else if (const char* env = std::getenv("VDP_REMOTE_AUTH_KEY")) {
-    key_hex = env;
-  }
-  auto auth_key = HexDecode(key_hex);
-  if (!auth_key.has_value() || auth_key->size() < net::kMinAuthKeyBytes) {
+  const std::optional<Bytes> auth_key = net::LoadAuthKey(key_file);
+  if (!auth_key.has_value()) {
     std::fprintf(stderr,
                  "verify_server: no usable auth key (--auth-key-file or "
                  "$VDP_REMOTE_AUTH_KEY, hex, >= %zu bytes)\n",
