@@ -1,13 +1,13 @@
 // Group-operation microbenchmarks across every registered group: the raw
 // costs the protocol layers are built on. For each group: generic Exp,
-// comb fixed-base Exp (the Pedersen/verifier path), wNAF and Pippenger MSM
-// per-term cost, plain group Mul, (batch) encoding, strict Decode of a member
-// encoding (the public auditor's per-element cost), the field square root
-// inside that decode, the client's OR proof per secret bit, one OR proof's
-// Fiat-Shamir challenge (OrChallenge), and the wide reduction behind every
-// challenge. Top-level fields give SHA-256 throughput and the block function
-// this CPU selected (sha-ni or portable), so an artifact names the path it
-// measured. One table makes the comb and kernel speedups visible per group,
+// comb fixed-base Exp (the Pedersen/verifier path) with its window and table
+// size, wNAF and Pippenger MSM per-term cost, plain group Mul, (batch)
+// encoding, strict Decode of a member encoding (the public auditor's
+// per-element cost), the field square root inside that decode, the client's
+// OR proof per secret bit, one OR proof's Fiat-Shamir challenge
+// (OrChallenge), and the wide reduction behind every challenge. Top-level
+// fields give SHA-256 throughput and the block function this CPU selected
+// (sha-ni or portable), so an artifact names the path it measured. One table makes the comb and kernel speedups visible per group,
 // and the committed BENCH_group_ops.json baseline plus the CI artifact keep
 // them trended.
 //
@@ -49,6 +49,8 @@ struct GroupRow {
   double exp_generic_us = 0;
   double exp_comb_us = 0;
   double table_build_ms = 0;
+  size_t comb_window = 0;
+  double comb_table_kb = 0;
   double msm_wnaf_per_term_us = 0;       // n = 32
   double msm_pippenger_per_term_us = 0;  // n = 512
   double mul_us = 0;
@@ -103,6 +105,8 @@ GroupRow Measure() {
   timer.Reset();
   vdp::FixedBaseTable<G> table(gen);
   row.table_build_ms = timer.ElapsedMillis();
+  row.comb_window = table.window();
+  row.comb_table_kb = static_cast<double>(table.table_bytes()) / 1000.0;
 
   timer.Reset();
   for (size_t i = 0; i < reps; ++i) {
@@ -129,13 +133,9 @@ GroupRow Measure() {
   }
   row.msm_wnaf_per_term_us = timer.ElapsedMillis() * 1000.0 / (msm_reps * wnaf_n);
 
-  std::vector<std::vector<uint64_t>> limbs;
-  for (const auto& s : msm_scalars) {
-    limbs.push_back(vdp::msm_internal::ToLimbs(s.Encode()));
-  }
   timer.Reset();
   for (size_t r = 0; r < msm_reps; ++r) {
-    sink = G::Mul(sink, vdp::MsmPippenger<G>(bases, limbs, 0, pip_n));
+    sink = G::Mul(sink, vdp::MsmPippenger<G>(bases, msm_scalars, 0, pip_n));
   }
   row.msm_pippenger_per_term_us = timer.ElapsedMillis() * 1000.0 / (msm_reps * pip_n);
 
@@ -241,15 +241,16 @@ int main(int argc, char** argv) {
     rows.push_back(Measure<G>());
   });
 
-  std::printf("\n%-18s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
-              "group", "bits", "exp(us)", "comb(us)", "wnaf/t(us)", "pip/t(us)", "mul(us)",
-              "enc(us)", "encB(us)", "dec(us)", "or0(us)", "or1(us)", "orFS(us)", "wide(us)",
-              "sqrt(us)");
+  std::printf("\n%-18s %6s %12s %12s %4s %9s %12s %12s %10s %10s %10s %10s %10s %10s %10s "
+              "%10s %10s\n",
+              "group", "bits", "exp(us)", "comb(us)", "w", "tab(KB)", "wnaf/t(us)", "pip/t(us)",
+              "mul(us)", "enc(us)", "encB(us)", "dec(us)", "or0(us)", "or1(us)", "orFS(us)",
+              "wide(us)", "sqrt(us)");
   for (const auto& r : rows) {
-    std::printf("%-18s %6zu %12.2f %12.2f %12.2f %12.2f %10.3f %10.3f %10.3f %10.2f ",
-                r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us,
-                r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us, r.mul_us, r.encode_us,
-                r.encode_batch_us, r.decode_us);
+    std::printf("%-18s %6zu %12.2f %12.2f %4zu %9.1f %12.2f %12.2f %10.3f %10.3f %10.3f %10.2f ",
+                r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us, r.comb_window,
+                r.comb_table_kb, r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us, r.mul_us,
+                r.encode_us, r.encode_batch_us, r.decode_us);
     std::printf("%10.2f %10.2f %10.3f %10.3f ", r.or_prove_us[0], r.or_prove_us[1],
                 r.or_challenge_us, r.scalar_wide_us);
     if (r.sqrt_us < 0) {
@@ -276,15 +277,17 @@ int main(int argc, char** argv) {
     const std::string sqrt_json = r.sqrt_us < 0 ? "null" : sqrt_buf;
     std::fprintf(f,
                  "    {\"group\": \"%s\", \"order_bits\": %zu, \"exp_generic_us\": %.3f, "
-                 "\"exp_comb_us\": %.3f, \"table_build_ms\": %.3f, "
-                 "\"msm_wnaf_per_term_us\": %.3f, \"msm_pippenger_per_term_us\": %.3f, "
+                 "\"exp_comb_us\": %.3f, \"comb_window\": %zu, \"comb_table_kb\": %.1f, "
+                 "\"table_build_ms\": %.3f, \"msm_wnaf_per_term_us\": %.3f, "
+                 "\"msm_pippenger_per_term_us\": %.3f, "
                  "\"mul_us\": %.4f, \"encode_us\": %.4f, \"encode_batch_us\": %.4f, "
                  "\"decode_us\": %.3f, \"sqrt_us\": %s, \"or_prove_bit0_us\": %.3f, "
                  "\"or_prove_bit1_us\": %.3f, \"or_challenge_us\": %.3f, "
                  "\"scalar_wide_us\": %.4f}%s\n",
-                 r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us,
-                 r.table_build_ms, r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us,
-                 r.mul_us, r.encode_us, r.encode_batch_us, r.decode_us, sqrt_json.c_str(),
+                 r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us, r.comb_window,
+                 r.comb_table_kb, r.table_build_ms, r.msm_wnaf_per_term_us,
+                 r.msm_pippenger_per_term_us, r.mul_us, r.encode_us, r.encode_batch_us,
+                 r.decode_us, sqrt_json.c_str(),
                  r.or_prove_us[0], r.or_prove_us[1], r.or_challenge_us, r.scalar_wide_us,
                  i + 1 < rows.size() ? "," : "");
   }

@@ -22,6 +22,7 @@
 #define SRC_BATCH_MSM_H_
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -36,20 +37,32 @@ namespace vdp {
 
 namespace msm_internal {
 
-// Scalars reach the MSM as their canonical big-endian encoding; digit and NAF
-// extraction work on little-endian 64-bit limbs with one headroom limb (the
-// wNAF recoding can carry one position past the top bit).
-inline std::vector<uint64_t> ToLimbs(const Bytes& big_endian) {
-  std::vector<uint64_t> limbs(big_endian.size() / 8 + 2, 0);
-  size_t n = big_endian.size();
-  for (size_t i = 0; i < n; ++i) {
-    size_t bit = (n - 1 - i) * 8;
-    limbs[bit / 64] |= static_cast<uint64_t>(big_endian[i]) << (bit % 64);
+// Scalars as little-endian 64-bit limbs in one flat buffer, `stride` limbs
+// per term: the scalar's own limbs plus one zero headroom limb (the wNAF
+// recoding can carry one position past the top bit). One allocation for the
+// whole batch; digit and NAF extraction read the terms in place.
+class ScalarLimbs {
+ public:
+  template <typename S>
+  explicit ScalarLimbs(const std::vector<S>& scalars)
+      : stride_(S::Int::kLimbs + 1), data_(scalars.size() * stride_, 0) {
+    for (size_t i = 0; i < scalars.size(); ++i) {
+      const auto& limb = scalars[i].value().limb;
+      std::copy(limb.begin(), limb.end(), &data_[i * stride_]);
+    }
   }
-  return limbs;
-}
 
-inline size_t LimbsBitLength(const std::vector<uint64_t>& v) {
+  std::span<uint64_t> operator[](size_t i) { return {data_.data() + i * stride_, stride_}; }
+  std::span<const uint64_t> operator[](size_t i) const {
+    return {data_.data() + i * stride_, stride_};
+  }
+
+ private:
+  size_t stride_ = 0;
+  std::vector<uint64_t> data_;
+};
+
+inline size_t LimbsBitLength(std::span<const uint64_t> v) {
   for (size_t i = v.size(); i-- > 0;) {
     if (v[i] != 0) {
       return i * 64 + (64 - static_cast<size_t>(__builtin_clzll(v[i])));
@@ -58,7 +71,7 @@ inline size_t LimbsBitLength(const std::vector<uint64_t>& v) {
   return 0;
 }
 
-inline bool LimbsZero(const std::vector<uint64_t>& v) {
+inline bool LimbsZero(std::span<const uint64_t> v) {
   for (uint64_t w : v) {
     if (w != 0) {
       return false;
@@ -67,14 +80,14 @@ inline bool LimbsZero(const std::vector<uint64_t>& v) {
   return true;
 }
 
-inline void LimbsShr1(std::vector<uint64_t>& v) {
+inline void LimbsShr1(std::span<uint64_t> v) {
   for (size_t i = 0; i < v.size(); ++i) {
     uint64_t high = (i + 1 < v.size()) ? (v[i + 1] << 63) : 0;
     v[i] = (v[i] >> 1) | high;
   }
 }
 
-inline void LimbsAddSmall(std::vector<uint64_t>& v, uint64_t x) {
+inline void LimbsAddSmall(std::span<uint64_t> v, uint64_t x) {
   for (size_t i = 0; i < v.size() && x != 0; ++i) {
     uint64_t old = v[i];
     v[i] += x;
@@ -83,7 +96,7 @@ inline void LimbsAddSmall(std::vector<uint64_t>& v, uint64_t x) {
 }
 
 // Requires v >= x (always true here: x is the low bits just masked off).
-inline void LimbsSubSmall(std::vector<uint64_t>& v, uint64_t x) {
+inline void LimbsSubSmall(std::span<uint64_t> v, uint64_t x) {
   for (size_t i = 0; i < v.size() && x != 0; ++i) {
     uint64_t old = v[i];
     v[i] -= x;
@@ -92,8 +105,9 @@ inline void LimbsSubSmall(std::vector<uint64_t>& v, uint64_t x) {
 }
 
 // Window-w non-adjacent form: odd digits in (-2^{w-1}, 2^{w-1}), any two
-// nonzero digits at least w positions apart. digits[j] weights 2^j.
-inline std::vector<int> ComputeWnaf(std::vector<uint64_t> v, size_t w) {
+// nonzero digits at least w positions apart. digits[j] weights 2^j. Consumes
+// v (it ends at zero), which needs a zero top limb as headroom.
+inline std::vector<int> ComputeWnaf(std::span<uint64_t> v, size_t w) {
   std::vector<int> digits;
   const uint64_t full = uint64_t{1} << w;
   const uint64_t half = full >> 1;
@@ -113,20 +127,6 @@ inline std::vector<int> ComputeWnaf(std::vector<uint64_t> v, size_t w) {
     LimbsShr1(v);
   }
   return digits;
-}
-
-// The w-bit digit of v starting at bit position `bit`.
-inline uint64_t DigitAt(const std::vector<uint64_t>& v, size_t bit, size_t w) {
-  size_t word = bit / 64;
-  size_t off = bit % 64;
-  if (word >= v.size()) {
-    return 0;
-  }
-  uint64_t d = v[word] >> off;
-  if (off + w > 64 && word + 1 < v.size()) {
-    d |= v[word + 1] << (64 - off);
-  }
-  return d & ((uint64_t{1} << w) - 1);
 }
 
 // Pippenger window width minimizing a simple cost model:
@@ -165,7 +165,7 @@ void NormalizeBases(const std::vector<typename G::Element>& bases,
 template <PrimeOrderGroup G>
 typename AccelOf<G>::P PippengerAccum(
     const std::vector<typename AccelOf<G>::A>& abases,
-    const std::vector<std::vector<uint64_t>>& limbs, size_t from, size_t to) {
+    const ScalarLimbs& limbs, size_t from, size_t to) {
   using Ac = AccelOf<G>;
   size_t max_bits = 0;
   for (size_t i = from; i < to; ++i) {
@@ -259,12 +259,13 @@ typename G::Element MsmWnaf(const std::vector<typename G::Element>& bases,
   constexpr size_t kW = 4;  // digits are odd with |d| < 8: table is 1P, 3P, 5P, 7P
   constexpr size_t kTable = size_t{1} << (kW - 2);
 
+  mi::ScalarLimbs limbs(scalars);
   std::vector<std::vector<int>> nafs(n);
   std::vector<size_t> offset(n, 0);
   std::vector<typename Ac::P> flat;
   size_t max_len = 0;
   for (size_t i = 0; i < n; ++i) {
-    nafs[i] = mi::ComputeWnaf(mi::ToLimbs(scalars[i].Encode()), kW);
+    nafs[i] = mi::ComputeWnaf(limbs[i], kW);
     max_len = std::max(max_len, nafs[i].size());
     if (!nafs[i].empty()) {
       offset[i] = flat.size();
@@ -341,11 +342,12 @@ typename G::Element MsmWnaf(const std::vector<typename G::Element>& bases,
 // running-sum trick (2 * 2^w additions, no per-bucket weighting).
 template <PrimeOrderGroup G>
 typename G::Element MsmPippenger(const std::vector<typename G::Element>& bases,
-                                 const std::vector<std::vector<uint64_t>>& limbs, size_t from,
+                                 const std::vector<typename G::Scalar>& scalars, size_t from,
                                  size_t to) {
   using Ac = AccelOf<G>;
   std::vector<typename Ac::A> abases;
   msm_internal::NormalizeBases<G>(bases, &abases);
+  const msm_internal::ScalarLimbs limbs(scalars);
   return Ac::Lower(msm_internal::PippengerAccum<G>(abases, limbs, from, to));
 }
 
@@ -373,10 +375,7 @@ typename G::Element Msm(const std::vector<typename G::Element>& bases,
     return MsmWnaf<G>(bases, scalars);
   }
 
-  std::vector<std::vector<uint64_t>> limbs(n);
-  for (size_t i = 0; i < n; ++i) {
-    limbs[i] = mi::ToLimbs(scalars[i].Encode());
-  }
+  const mi::ScalarLimbs limbs(scalars);
   // One batch normalization for the whole set, shared by every chunk.
   std::vector<typename Ac::A> abases;
   mi::NormalizeBases<G>(bases, &abases);

@@ -138,9 +138,23 @@ bool Fe25519::IsNegative() const { return (ToBytes()[0] & 1) != 0; }
 bool operator==(const Fe25519& a, const Fe25519& b) { return a.ToBytes() == b.ToBytes(); }
 
 std::array<uint8_t, Fe25519::kEncodedSize> Fe25519::ToBytes() const {
+  // Two serial carry passes: the first leaves limbs 1-4 < 2^51 and limb 0 <
+  // 2^51 + 2^18; the second carries at most 1 per limb and ends strictly
+  // below 2^51 (a carry out of limb 4 needs limbs 0-3 to have overflowed,
+  // which leaves limb 0 tiny before it takes the 19).
   Fe25519 t = *this;
-  t.CarryReduce();
-  // q = 1 iff value >= p (valid because limbs are < 2^51 after CarryReduce).
+  for (int pass = 0; pass < 2; ++pass) {
+    uint64_t c;
+    for (int i = 0; i < 4; ++i) {
+      c = t.v_[i] >> 51;
+      t.v_[i] &= kMask51;
+      t.v_[i + 1] += c;
+    }
+    c = t.v_[4] >> 51;
+    t.v_[4] &= kMask51;
+    t.v_[0] += 19 * c;
+  }
+  // q = 1 iff value >= p (valid because every limb is now < 2^51).
   uint64_t q = (t.v_[0] + 19) >> 51;
   q = (t.v_[1] + q) >> 51;
   q = (t.v_[2] + q) >> 51;

@@ -159,8 +159,12 @@ class Fe25519 {
   static constexpr uint64_t kTwoP0 = 0xfffffffffffda;    // 2 * (2^51 - 19)
   static constexpr uint64_t kTwoP1234 = 0xffffffffffffe; // 2 * (2^51 - 1)
 
-  // Carry-and-fold a product in 128-bit column accumulators back to 5 loosely
-  // reduced radix-51 limbs.
+  // Carry-and-fold a product in 128-bit column accumulators back to 5
+  // loosely reduced radix-51 limbs. With inputs < 2^54, t4 (the one column
+  // without a 19 factor) is < 5 * 2^108 + 2^64, so c = t4 >> 51 is below
+  // 5 * 2^57 + 2^13 and r0 + 19 * c stays below 2^51 + 95 * 2^57 + 2^18 <
+  // 2^64. The final carry out of r0 is then < 2^14: every output limb is
+  // < 2^51 except r1, which is < 2^51 + 2^14.
   static Fe25519 FromWide(uint128_t t0, uint128_t t1, uint128_t t2, uint128_t t3,
                           uint128_t t4) {
     Fe25519 r;
@@ -186,29 +190,32 @@ class Fe25519 {
     return r;
   }
 
+  // Weak reduction in one pass: every carry is read from the input limbs,
+  // then all five are added at once (no carry waits on the previous one).
+  // Add and Sub feed it limbs < 2^53, so each carry is at most 3 and the
+  // output limbs are < 2^51 + 57 (limb 0, which takes 19 * c4) and < 2^51 + 3.
   void CarryReduce() {
-    // Two passes bring every limb below 2^51 + epsilon and keep value mod p.
-    for (int pass = 0; pass < 2; ++pass) {
-      uint64_t c;
-      c = v_[0] >> 51;
-      v_[0] &= kMask51;
-      v_[1] += c;
-      c = v_[1] >> 51;
-      v_[1] &= kMask51;
-      v_[2] += c;
-      c = v_[2] >> 51;
-      v_[2] &= kMask51;
-      v_[3] += c;
-      c = v_[3] >> 51;
-      v_[3] &= kMask51;
-      v_[4] += c;
-      c = v_[4] >> 51;
-      v_[4] &= kMask51;
-      v_[0] += 19 * c;
-    }
+    const uint64_t c0 = v_[0] >> 51;
+    const uint64_t c1 = v_[1] >> 51;
+    const uint64_t c2 = v_[2] >> 51;
+    const uint64_t c3 = v_[3] >> 51;
+    const uint64_t c4 = v_[4] >> 51;
+    v_[0] = (v_[0] & kMask51) + 19 * c4;
+    v_[1] = (v_[1] & kMask51) + c0;
+    v_[2] = (v_[2] & kMask51) + c1;
+    v_[3] = (v_[3] & kMask51) + c2;
+    v_[4] = (v_[4] & kMask51) + c3;
   }
 
-  // Limbs in radix 2^51; loosely reduced (each < 2^52) between operations.
+  // Limbs in radix 2^51. Between operations every limb is < 2^51 + 2^14 < 2^52
+  // (FromWide's r1 is the largest; CarryReduce, FromU64 and FromBytes stay
+  // below it), which is all the kernels need:
+  //   - Add: a + b < 2^53 fits, and CarryReduce brings it back.
+  //   - Sub: a + 2p - b never underflows, since every subtrahend limb is
+  //     below the 2p limbs kTwoP0 = 2^52 - 38 and kTwoP1234 = 2^52 - 2.
+  //   - Mul / Square: inputs < 2^54 keep FromWide's 19 * c below 2^64 (the
+  //     doubled operands of Square are < 2^53).
+  // ToBytes alone needs limbs < 2^51, and reduces strictly on its own.
   uint64_t v_[5];
 };
 

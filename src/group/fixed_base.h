@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,21 @@
 
 namespace vdp {
 
+// The w-bit digit (w < 64) of little-endian limbs v starting at bit position
+// `bit`: one shift and mask, reading bits past the top limb as zero.
+inline uint64_t DigitAt(std::span<const uint64_t> v, size_t bit, size_t w) {
+  const size_t word = bit / 64;
+  const size_t off = bit % 64;
+  if (word >= v.size()) {
+    return 0;
+  }
+  uint64_t d = v[word] >> off;
+  if (off + w > 64 && word + 1 < v.size()) {
+    d |= v[word + 1] << (64 - off);
+  }
+  return d & ((uint64_t{1} << w) - 1);
+}
+
 template <PrimeOrderGroup G>
 class FixedBaseTable {
  public:
@@ -34,21 +50,26 @@ class FixedBaseTable {
   using Scalar = typename G::Scalar;
   using Ac = AccelOf<G>;
 
-  // Signed digits halve the table, so cheap-negate groups afford a wider
-  // window; large moduli get a narrower one to keep tables in the low MBs.
+  // Window width per group. A comb costs one table addition per window, so
+  // wider is faster until the table stops fitting in cache. Cheap-negate
+  // groups (ed25519) use signed digits, 2^(width-1) entries per row, and take
+  // the widest allowed window: at 8 a 253-bit scalar costs at most 32
+  // additions for a 492 KB table per generator, where 6 would cost 43 for
+  // 169 KB. Mod-p and Schnorr entries are a full modulus each and rows are
+  // unsigned (2^width - 1 entries), so they stay at 5, or at 4 above 512-bit
+  // orders, to keep their tables in the low MBs.
   static size_t DefaultWindow() {
     if (Ac::kCheapNegate) {
-      return 6;
+      return 8;
     }
     return Scalar::Order().BitLength() > 512 ? 4 : 5;
   }
 
   explicit FixedBaseTable(const Element& base, size_t window = DefaultWindow())
       : width_(window < 2 ? 2 : (window > 8 ? 8 : window)) {
-    const size_t bits = Scalar::Order().BitLength();
-    const size_t base_windows = (bits + width_ - 1) / width_;
-    // Signed recoding can carry one digit past the top window.
-    windows_ = Ac::kCheapNegate ? base_windows + 1 : base_windows;
+    // Signed recoding can carry one bit past the order's top bit.
+    const size_t bits = Scalar::Order().BitLength() + (Ac::kCheapNegate ? 1 : 0);
+    windows_ = (bits + width_ - 1) / width_;
     per_row_ = Ac::kCheapNegate ? (size_t{1} << (width_ - 1))
                                 : (size_t{1} << width_) - 1;
 
@@ -72,12 +93,13 @@ class FixedBaseTable {
   }
 
   size_t window() const { return width_; }
+  // Bytes of precomputed entries (the table's memory cost).
+  size_t table_bytes() const { return entries_.size() * sizeof(typename Ac::A); }
 
   // base^e in the kernel's accumulator form (for callers that keep working --
   // the MSM fixed-base fast path folds this straight into its running sum).
   typename Ac::P ExpAccum(const Scalar& e) const {
     const auto& v = e.value();
-    const size_t bits = v.BitLength();
     typename Ac::P acc = Ac::Identity();
     if constexpr (Ac::kCheapNegate) {
       // Signed digits in [-2^(width-1), 2^(width-1)]: digits above half are
@@ -87,12 +109,7 @@ class FixedBaseTable {
       const int64_t half = full >> 1;
       int64_t carry = 0;
       for (size_t w = 0; w < windows_; ++w) {
-        int64_t u = 0;
-        for (size_t b = width_; b-- > 0;) {
-          size_t bit = w * width_ + b;
-          u = (u << 1) | ((bit < bits && v.Bit(bit)) ? 1 : 0);
-        }
-        int64_t d = u + carry;
+        int64_t d = static_cast<int64_t>(DigitAt(v.limb, w * width_, width_)) + carry;
         if (d > half) {
           d -= full;
           carry = 1;
@@ -109,15 +126,9 @@ class FixedBaseTable {
       // Unsigned digits. Every window of the table is consulted up to the
       // scalar's own top bit; the table always covers the order's full bit
       // length, so scalars at exactly that length use the top row too.
-      for (size_t w = 0; w < windows_; ++w) {
-        if (w * width_ >= bits) {
-          break;
-        }
-        size_t d = 0;
-        for (size_t b = width_; b-- > 0;) {
-          size_t bit = w * width_ + b;
-          d = (d << 1) | ((bit < bits && v.Bit(bit)) ? 1u : 0u);
-        }
+      const size_t bits = v.BitLength();
+      for (size_t w = 0; w < windows_ && w * width_ < bits; ++w) {
+        const size_t d = DigitAt(v.limb, w * width_, width_);
         if (d != 0) {
           acc = Ac::AddA(acc, entry(w, d));
         }

@@ -27,9 +27,14 @@ class ScalarField {
   static ScalarField Zero() { return ScalarField(); }
   static ScalarField One() { return FromU64(1); }
 
+  // Small values (the coin bits, counts, One()) are already reduced; only an
+  // order below 2^64 (ModP64) ever needs the division.
   static ScalarField FromU64(uint64_t v) {
     ScalarField s;
-    s.v_ = Mod(Int::FromU64(v), Order());
+    s.v_ = Int::FromU64(v);
+    if (s.v_ >= Order()) {
+      s.v_ = Mod(s.v_, Order());
+    }
     return s;
   }
 

@@ -49,11 +49,7 @@ TYPED_TEST(MsmTest, PippengerPathMatchesNaive) {
   SecureRng rng("msm-pip-" + G::Name());
   for (size_t n : {1u, 5u, 33u, 150u}) {
     auto [bases, scalars] = RandomInput<G>(n, rng);
-    std::vector<std::vector<uint64_t>> limbs;
-    for (const auto& s : scalars) {
-      limbs.push_back(msm_internal::ToLimbs(s.Encode()));
-    }
-    EXPECT_EQ(MsmPippenger<G>(bases, limbs, 0, n), MsmNaive<G>(bases, scalars)) << "n=" << n;
+    EXPECT_EQ(MsmPippenger<G>(bases, scalars, 0, n), MsmNaive<G>(bases, scalars)) << "n=" << n;
   }
 }
 
@@ -110,7 +106,8 @@ TEST(MsmInternalTest, WnafRecodingReconstructs) {
   using S = ModP256::Scalar;
   for (int iter = 0; iter < 20; ++iter) {
     S s = S::Random(rng);
-    auto naf = msm_internal::ComputeWnaf(msm_internal::ToLimbs(s.Encode()), 4);
+    msm_internal::ScalarLimbs limbs(std::vector<S>{s});
+    auto naf = msm_internal::ComputeWnaf(limbs[0], 4);
     S acc = S::Zero();
     S weight = S::One();
     S two = S::FromU64(2);

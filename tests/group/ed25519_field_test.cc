@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/math/montgomery.h"
 #include "src/math/primality.h"
@@ -172,6 +175,128 @@ TEST(Fe25519Test, PowMatchesMontgomeryReference) {
 TEST(Fe25519Test, FromU64LargeValue) {
   uint64_t big = ~uint64_t{0};
   EXPECT_EQ(Fe25519::FromU64(big).ToBigInt(), BigInt<4>::FromU64(big));
+}
+
+// The value with the given radix-2^51 limbs (each < 2^51).
+BigInt<4> FromRadix51(const std::array<uint64_t, 5>& limbs) {
+  BigInt<4> v;
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t b = 0; b < 51; ++b) {
+      if ((limbs[i] >> b) & 1) {
+        v.SetBit(51 * i + b);
+      }
+    }
+  }
+  return v;
+}
+
+// Add reduces weakly, so ToBytes can receive a limb 4 of exactly 2^51 next
+// to a limb 0 just below 2^51 (limb 3 carries into a full limb 4). The sum
+// is 2^255 + 2^51 - 1 - k, whose reduction folds 19 into limb 0 and, for
+// k < 19, carries it across limb 0's top.
+TEST(Fe25519Test, ToBytesReducesCarriedTopLimb) {
+  const uint64_t m = (uint64_t{1} << 51) - 1;
+  const BigInt<4> b = FromRadix51({0, 0, 0, 1, 0});
+  for (uint64_t k = 0; k < 40; ++k) {
+    const BigInt<4> a = FromRadix51({m - k, 0, 0, m, m});
+    const BigInt<4> sum = AddMod(a, b, Fe25519::P());
+    const Fe25519 r = Fe25519::Add(Fe25519::FromBigInt(a), Fe25519::FromBigInt(b));
+    EXPECT_EQ(r.ToBigInt(), sum) << "k=" << k;
+    EXPECT_EQ(r.ToBytes(), Fe25519::FromBigInt(sum).ToBytes()) << "k=" << k;
+  }
+}
+
+// One step of a chain: applies `op` to the kernel values and to their BigInt
+// references alike.
+enum class FeOp { kAdd, kSub, kNeg, kMul, kSquare };
+
+void Apply(FeOp op, const Fe25519& a, const Fe25519& b, const BigInt<4>& ra,
+           const BigInt<4>& rb, Fe25519* out, BigInt<4>* ref) {
+  const BigInt<4>& p = Fe25519::P();
+  switch (op) {
+    case FeOp::kAdd:
+      *out = Fe25519::Add(a, b);
+      *ref = AddMod(ra, rb, p);
+      break;
+    case FeOp::kSub:
+      *out = Fe25519::Sub(a, b);
+      *ref = SubMod(ra, rb, p);
+      break;
+    case FeOp::kNeg:
+      *out = Fe25519::Neg(a);
+      *ref = SubMod(BigInt<4>::Zero(), ra, p);
+      break;
+    case FeOp::kMul:
+      *out = Fe25519::Mul(a, b);
+      *ref = RefCtx().MulMod(ra, rb);
+      break;
+    case FeOp::kSquare:
+      *out = Fe25519::Square(a);
+      *ref = RefCtx().MulMod(ra, ra);
+      break;
+  }
+}
+
+// Long random chains whose intermediates are never re-canonicalised: every
+// result goes back into the pool as the kernels left it, loose limbs and
+// all, and is checked against BigInt arithmetic mod p at every step. The
+// pool starts at the edges (0, 1, p - 1, p - 2, 2^64 - 1, 2^254) and the
+// runs below push limbs toward their loose maxima: repeated Sub(0, x),
+// doubling, and sums of negations.
+TEST(Fe25519Test, LooseChainsMatchReference) {
+  SecureRng rng("fe-chain");
+  const BigInt<4>& p = Fe25519::P();
+  BigInt<4> p_minus_1;
+  BigInt<4>::SubInto(p_minus_1, p, BigInt<4>::One());
+  BigInt<4> p_minus_2;
+  BigInt<4>::SubInto(p_minus_2, p_minus_1, BigInt<4>::One());
+  BigInt<4> top;  // 2^254: the top limb's highest bit alone
+  top.SetBit(254);
+  std::vector<BigInt<4>> ref = {BigInt<4>::Zero(), BigInt<4>::One(), p_minus_1, p_minus_2,
+                                BigInt<4>::FromU64(~uint64_t{0}), top};
+  while (ref.size() < 12) {
+    ref.push_back(RandomBelow(p, rng));
+  }
+  std::vector<Fe25519> fe;
+  for (const auto& v : ref) {
+    fe.push_back(Fe25519::FromBigInt(v));
+  }
+
+  constexpr FeOp kOps[] = {FeOp::kAdd, FeOp::kSub, FeOp::kNeg, FeOp::kMul, FeOp::kSquare};
+  for (int step = 0; step < 30000; ++step) {
+    const FeOp op = kOps[rng.UniformBelow(5)];
+    const size_t i = rng.UniformBelow(fe.size());
+    const size_t j = rng.UniformBelow(fe.size());
+    const size_t k = rng.UniformBelow(fe.size());
+    Apply(op, fe[i], fe[j], ref[i], ref[j], &fe[k], &ref[k]);
+    ASSERT_EQ(fe[k].ToBigInt(), ref[k]) << "step " << step << " op " << static_cast<int>(op);
+  }
+
+  // Worst-case runs from each edge value: Sub(0, x) again and again, then
+  // doubling, then the sum of two negations, then a product of the result
+  // with itself; none of them ever re-canonicalises.
+  for (size_t start = 0; start < 6; ++start) {
+    Fe25519 x = fe[start];
+    BigInt<4> rx = ref[start];
+    for (int step = 0; step < 200; ++step) {
+      const FeOp op = step % 50 == 49 ? FeOp::kSquare : FeOp::kNeg;
+      Apply(op, x, x, rx, rx, &x, &rx);
+      ASSERT_EQ(x.ToBigInt(), rx) << "neg run, start " << start << " step " << step;
+    }
+    for (int step = 0; step < 300; ++step) {
+      Apply(FeOp::kAdd, x, x, rx, rx, &x, &rx);
+      ASSERT_EQ(x.ToBigInt(), rx) << "doubling run, start " << start << " step " << step;
+    }
+    for (int step = 0; step < 200; ++step) {
+      Fe25519 nx;
+      BigInt<4> rnx;
+      Apply(FeOp::kNeg, x, x, rx, rx, &nx, &rnx);
+      Apply(FeOp::kAdd, nx, nx, rnx, rnx, &x, &rx);
+      Apply(FeOp::kSub, x, nx, rx, rnx, &x, &rx);
+      Apply(FeOp::kMul, x, nx, rx, rnx, &x, &rx);
+      ASSERT_EQ(x.ToBigInt(), rx) << "negation sums, start " << start << " step " << step;
+    }
+  }
 }
 
 }  // namespace

@@ -111,8 +111,7 @@ TYPED_TEST(GroupDifferentialTest, AllExpPathsMatchOracleOnStructuredScalars) {
     EXPECT_TRUE(table.Exp(s) == oracle) << "comb w=" << table.window() << " " << hex;
     EXPECT_TRUE(narrow.Exp(s) == oracle) << "comb w=3 " << hex;
     EXPECT_TRUE(MsmWnaf<G>({gen}, {s}) == oracle) << "wnaf " << hex;
-    std::vector<std::vector<uint64_t>> limbs = {msm_internal::ToLimbs(s.Encode())};
-    EXPECT_TRUE(MsmPippenger<G>({gen}, limbs, 0, 1) == oracle) << "pippenger " << hex;
+    EXPECT_TRUE(MsmPippenger<G>({gen}, {s}, 0, 1) == oracle) << "pippenger " << hex;
   }
 }
 
@@ -132,8 +131,7 @@ TYPED_TEST(GroupDifferentialTest, AllExpPathsMatchOracleOnRandomScalars) {
     EXPECT_TRUE(G::Exp(base, s) == oracle) << "G::Exp " << hex;
     EXPECT_TRUE(table.Exp(s) == oracle) << "comb " << hex;
     EXPECT_TRUE(MsmWnaf<G>({base}, {s}) == oracle) << "wnaf " << hex;
-    std::vector<std::vector<uint64_t>> limbs = {msm_internal::ToLimbs(s.Encode())};
-    EXPECT_TRUE(MsmPippenger<G>({base}, limbs, 0, 1) == oracle) << "pippenger " << hex;
+    EXPECT_TRUE(MsmPippenger<G>({base}, {s}, 0, 1) == oracle) << "pippenger " << hex;
   }
 }
 
@@ -150,7 +148,7 @@ TYPED_TEST(GroupDifferentialTest, CombTopWindowAtOrderBitLength) {
   const std::vector<S> edges = {S::FromInt(top),     // exactly the top bit
                                 S::Zero() - S::One(),  // order - 1, full length
                                 S::FromInt(top) + S::FromU64(3)};
-  for (size_t w : {size_t{2}, size_t{4}, size_t{5}, size_t{7}}) {
+  for (size_t w : {size_t{2}, size_t{4}, size_t{5}, size_t{7}, size_t{8}}) {
     const FixedBaseTable<G> table(gen, w);
     for (const auto& s : edges) {
       ASSERT_EQ(s.value().BitLength(), bits);
@@ -174,16 +172,14 @@ TYPED_TEST(GroupDifferentialTest, MsmPathsMatchNaiveOnMixedBatches) {
   for (size_t n : sizes) {
     std::vector<typename G::Element> bases(n);
     std::vector<S> scalars(n);
-    std::vector<std::vector<uint64_t>> limbs(n);
     for (size_t i = 0; i < n; ++i) {
       bases[i] = G::Exp(gen, S::Random(rng));
       // Mix in degenerate scalars so bucket/NAF paths see zeros and ones.
       scalars[i] = (i == 0) ? S::Zero() : (i == 1 ? S::One() : S::Random(rng));
-      limbs[i] = msm_internal::ToLimbs(scalars[i].Encode());
     }
     const auto expected = MsmNaive<G>(bases, scalars);
     EXPECT_TRUE(MsmWnaf<G>(bases, scalars) == expected) << "wnaf n=" << n;
-    EXPECT_TRUE(MsmPippenger<G>(bases, limbs, 0, n) == expected) << "pippenger n=" << n;
+    EXPECT_TRUE(MsmPippenger<G>(bases, scalars, 0, n) == expected) << "pippenger n=" << n;
     EXPECT_TRUE(Msm<G>(bases, scalars) == expected) << "dispatch n=" << n;
   }
 }

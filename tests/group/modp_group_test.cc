@@ -116,6 +116,22 @@ TEST(ModPGroupTest, HashToGroupIndependentOfGenerator) {
   }
 }
 
+// ModP64's order is below 2^64, so FromU64 must still reduce values >= q;
+// wider orders never reach the reduction.
+TEST(ModPGroupTest, ScalarFromU64ReducesValuesAtOrAboveTheOrder) {
+  using S = ModP64::Scalar;
+  const uint64_t q = S::Order().limb[0];
+  ASSERT_EQ(S::Order().BitLength(), 63u);
+  EXPECT_TRUE(S::FromU64(q).IsZero());
+  EXPECT_EQ(S::FromU64(q + 1), S::One());
+  EXPECT_EQ(S::FromU64(q - 1), S::Zero() - S::One());
+  EXPECT_TRUE(S::FromU64(2 * q).IsZero());
+  EXPECT_EQ(S::FromU64(2 * q + 5), S::FromU64(5));
+  const uint64_t max = ~uint64_t{0};
+  EXPECT_EQ(S::FromU64(max).ToU64(), max % q);
+  EXPECT_EQ(ModP256::Scalar::FromU64(max).ToU64(), max);
+}
+
 TEST(ModPGroupTest, NamesAreDistinct) {
   EXPECT_EQ(ModP256::Name(), "modp-256");
   EXPECT_EQ(ModP512::Name(), "modp-512");
