@@ -11,11 +11,11 @@
 //     whole batch costs one group inversion,
 //   - Pippenger (large batches): bucket accumulation per w-bit window; cost
 //     per term drops to ~bits/w group operations as the batch grows.
-// All fast paths run on the group's acceleration kernel (src/group/accel.h):
-// input points are batch-normalized to the kernel's table form once (one
-// field inversion for curve groups -- Montgomery's trick), so every bucket
-// insert and table add is a mixed addition, and accumulators use the
-// dedicated doubling formula instead of the generic group Mul.
+// All fast paths run on the group's acceleration kernel (G::Accel, see
+// src/group/group.h): input points are batch-normalized to the kernel's table
+// form once (one field inversion for curve groups -- Montgomery's trick), so
+// every bucket insert and table add is a mixed addition, and accumulators use
+// the dedicated doubling formula instead of the generic group Mul.
 // Msm() dispatches on batch size and optionally shards across a ThreadPool
 // (chunked, one partial MSM per chunk; partials combine with one add each).
 #ifndef SRC_BATCH_MSM_H_
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/group/accel.h"
 #include "src/group/fixed_base.h"
 #include "src/group/group.h"
 #include "src/obs/metrics.h"
@@ -151,8 +150,8 @@ inline size_t BestWindow(size_t n, size_t bits) {
 // Batch-normalize public group elements into the kernel's table form.
 template <PrimeOrderGroup G>
 void NormalizeBases(const std::vector<typename G::Element>& bases,
-                    std::vector<typename AccelOf<G>::A>* out) {
-  using Ac = AccelOf<G>;
+                    std::vector<typename G::Accel::A>* out) {
+  using Ac = typename G::Accel;
   std::vector<typename Ac::P> lifted(bases.size());
   for (size_t i = 0; i < bases.size(); ++i) {
     lifted[i] = Ac::Lift(bases[i]);
@@ -163,10 +162,10 @@ void NormalizeBases(const std::vector<typename G::Element>& bases,
 // Pippenger over pre-normalized bases[from, to); result stays in accumulator
 // form so chunked partials combine without leaving the kernel.
 template <PrimeOrderGroup G>
-typename AccelOf<G>::P PippengerAccum(
-    const std::vector<typename AccelOf<G>::A>& abases,
+typename G::Accel::P PippengerAccum(
+    const std::vector<typename G::Accel::A>& abases,
     const ScalarLimbs& limbs, size_t from, size_t to) {
-  using Ac = AccelOf<G>;
+  using Ac = typename G::Accel;
   size_t max_bits = 0;
   for (size_t i = from; i < to; ++i) {
     max_bits = std::max(max_bits, LimbsBitLength(limbs[i]));
@@ -251,7 +250,7 @@ template <PrimeOrderGroup G>
 typename G::Element MsmWnaf(const std::vector<typename G::Element>& bases,
                             const std::vector<typename G::Scalar>& scalars) {
   namespace mi = msm_internal;
-  using Ac = AccelOf<G>;
+  using Ac = typename G::Accel;
   if (bases.size() != scalars.size()) {
     throw std::invalid_argument("MsmWnaf: size mismatch");
   }
@@ -344,7 +343,7 @@ template <PrimeOrderGroup G>
 typename G::Element MsmPippenger(const std::vector<typename G::Element>& bases,
                                  const std::vector<typename G::Scalar>& scalars, size_t from,
                                  size_t to) {
-  using Ac = AccelOf<G>;
+  using Ac = typename G::Accel;
   std::vector<typename Ac::A> abases;
   msm_internal::NormalizeBases<G>(bases, &abases);
   const msm_internal::ScalarLimbs limbs(scalars);
@@ -360,7 +359,7 @@ typename G::Element Msm(const std::vector<typename G::Element>& bases,
                         const std::vector<typename G::Scalar>& scalars,
                         ThreadPool* pool = nullptr) {
   namespace mi = msm_internal;
-  using Ac = AccelOf<G>;
+  using Ac = typename G::Accel;
   if (bases.size() != scalars.size()) {
     throw std::invalid_argument("Msm: size mismatch");
   }
@@ -408,7 +407,7 @@ typename G::Element MsmWithFixedTerms(
     const std::vector<typename G::Element>& bases,
     const std::vector<typename G::Scalar>& scalars,
     ThreadPool* pool = nullptr) {
-  using Ac = AccelOf<G>;
+  using Ac = typename G::Accel;
   typename Ac::P acc = Ac::Identity();
   for (const auto& term : fixed) {
     acc = Ac::Add(acc, term.first->ExpAccum(term.second));

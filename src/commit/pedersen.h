@@ -49,7 +49,7 @@ class Pedersen {
   // Com(x, r) = g^x h^r using the fixed-base tables; the two partial products
   // are merged in the kernel's accumulator form.
   Commitment Commit(const Scalar& x, const Scalar& r) const {
-    using Ac = AccelOf<G>;
+    using Ac = typename G::Accel;
     return Ac::Lower(
         Ac::Add(g_table_->ExpAccum(x), h_table_->ExpAccum(r)));
   }

@@ -73,7 +73,7 @@ class Ed25519Group {
     GePoint p_;
   };
 
-  // Acceleration kernel (see src/group/accel.h): accumulators stay in
+  // Acceleration kernel (see src/group/group.h): accumulators stay in
   // extended coordinates with a dedicated 4M+4S doubling, and table entries
   // are batch-normalized to Niels form for 7M mixed additions.
   struct Accel {

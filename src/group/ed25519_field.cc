@@ -138,31 +138,30 @@ bool Fe25519::IsNegative() const { return (ToBytes()[0] & 1) != 0; }
 bool operator==(const Fe25519& a, const Fe25519& b) { return a.ToBytes() == b.ToBytes(); }
 
 std::array<uint8_t, Fe25519::kEncodedSize> Fe25519::ToBytes() const {
-  // Two serial carry passes: the first leaves limbs 1-4 < 2^51 and limb 0 <
-  // 2^51 + 2^18; the second carries at most 1 per limb and ends strictly
-  // below 2^51 (a carry out of limb 4 needs limbs 0-3 to have overflowed,
-  // which leaves limb 0 tiny before it takes the 19).
+  // One serial carry pass. The carry out of limb 4 is < 2^13, so it leaves
+  // limbs 1-4 < 2^51 and limb 0 < 2^51 + 19 * 2^13: the value is below
+  // 2^255 + 19 * 2^13 < 2p.
   Fe25519 t = *this;
-  for (int pass = 0; pass < 2; ++pass) {
-    uint64_t c;
-    for (int i = 0; i < 4; ++i) {
-      c = t.v_[i] >> 51;
-      t.v_[i] &= kMask51;
-      t.v_[i + 1] += c;
-    }
-    c = t.v_[4] >> 51;
-    t.v_[4] &= kMask51;
-    t.v_[0] += 19 * c;
+  uint64_t c;
+  for (int i = 0; i < 4; ++i) {
+    c = t.v_[i] >> 51;
+    t.v_[i] &= kMask51;
+    t.v_[i + 1] += c;
   }
-  // q = 1 iff value >= p (valid because every limb is now < 2^51).
+  c = t.v_[4] >> 51;
+  t.v_[4] &= kMask51;
+  t.v_[0] += 19 * c;
+  // The chain carries value + 19 through the limbs, so q is exactly
+  // floor((value + 19) / 2^255) whatever limb 0's excess; as value < 2p,
+  // q = 1 iff value >= p.
   uint64_t q = (t.v_[0] + 19) >> 51;
   q = (t.v_[1] + q) >> 51;
   q = (t.v_[2] + q) >> 51;
   q = (t.v_[3] + q) >> 51;
   q = (t.v_[4] + q) >> 51;
-  // value mod p = value + 19q, truncated to 255 bits.
+  // value mod p = value + 19q, truncated to 255 bits; this serial carry also
+  // absorbs a limb 0 above 2^51.
   t.v_[0] += 19 * q;
-  uint64_t c;
   c = t.v_[0] >> 51;
   t.v_[0] &= kMask51;
   t.v_[1] += c;

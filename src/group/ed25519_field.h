@@ -215,7 +215,7 @@ class Fe25519 {
   //     below the 2p limbs kTwoP0 = 2^52 - 38 and kTwoP1234 = 2^52 - 2.
   //   - Mul / Square: inputs < 2^54 keep FromWide's 19 * c below 2^64 (the
   //     doubled operands of Square are < 2^53).
-  // ToBytes alone needs limbs < 2^51, and reduces strictly on its own.
+  // Only ToBytes reduces strictly, to limbs < 2^51 and a value < p.
   uint64_t v_[5];
 };
 

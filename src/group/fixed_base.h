@@ -5,10 +5,10 @@
 // base^(d * 2^(w*width)) for every window position w and digit d, turning
 // each exponentiation into one table addition per nonzero window -- no
 // squarings at all. Tables are built through the group's acceleration kernel
-// (src/group/accel.h): entries live in the kernel's table form (Montgomery
-// residues / Niels points, batch-normalized with one inversion), and groups
-// with cheap negation use signed digits, which halves the table while keeping
-// the same window width.
+// (G::Accel, src/group/group.h): entries live in the kernel's table form
+// (Montgomery residues / Niels points, batch-normalized with one inversion),
+// and groups with cheap negation use signed digits, which halves the table
+// while keeping the same window width.
 //
 // Shared(base) memoizes tables per generator behind a mutex so the committer,
 // the verifier and the MSM fixed-base fast path all reuse one table per
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/group/accel.h"
 #include "src/group/group.h"
 
 namespace vdp {
@@ -48,16 +47,16 @@ class FixedBaseTable {
  public:
   using Element = typename G::Element;
   using Scalar = typename G::Scalar;
-  using Ac = AccelOf<G>;
+  using Ac = typename G::Accel;
 
   // Window width per group. A comb costs one table addition per window, so
   // wider is faster until the table stops fitting in cache. Cheap-negate
   // groups (ed25519) use signed digits, 2^(width-1) entries per row, and take
   // the widest allowed window: at 8 a 253-bit scalar costs at most 32
   // additions for a 492 KB table per generator, where 6 would cost 43 for
-  // 169 KB. Mod-p and Schnorr entries are a full modulus each and rows are
-  // unsigned (2^width - 1 entries), so they stay at 5, or at 4 above 512-bit
-  // orders, to keep their tables in the low MBs.
+  // 169 KB. Z_p* entries are a full modulus each and rows are unsigned
+  // (2^width - 1 entries), so they stay at 5, or at 4 above 512-bit orders,
+  // to keep their tables in the low MBs.
   static size_t DefaultWindow() {
     if (Ac::kCheapNegate) {
       return 8;

@@ -2,8 +2,9 @@
 //
 // A PrimeOrderGroup is a cyclic group of prime order q where the discrete
 // logarithm problem is assumed hard, together with its scalar field Z_q.
-// Two backends are provided: Schnorr groups over Z_p* (modp_group.h) and the
-// Edwards25519 subgroup (ed25519.h). Protocol code is generic over the
+// Two backends are provided: prime-order subgroups of Z_p* (one template,
+// modp_group.h, over the safe-prime and short-exponent parameter sets) and
+// the Edwards25519 subgroup (ed25519.h). Protocol code is generic over the
 // backend; explicit instantiations live at the bottom of the protocol .cc
 // files.
 #ifndef SRC_GROUP_GROUP_H_
@@ -21,7 +22,6 @@
 #include "src/common/thread_pool.h"
 #include "src/group/ed25519.h"
 #include "src/group/modp_group.h"
-#include "src/group/schnorr_group.h"
 
 namespace vdp {
 
@@ -42,6 +42,28 @@ concept GroupScalar = requires(const S& s, SecureRng& rng, BytesView bytes) {
   { s == s } -> std::convertible_to<bool>;
 };
 
+// Every group also declares an acceleration kernel, G::Accel. The generic
+// multi-exponentiation code (FixedBaseTable, Pippenger MSM) does thousands of
+// group operations per call, and the public API is the wrong currency for
+// that: the Z_p* Mul converts to Montgomery form and back on every call, and
+// Ed25519Group's Exp pays a field inversion per affine conversion. The kernel
+// is the group's internal fast-path representation, exposed just enough for
+// the templated exp code:
+//
+//   struct Accel {
+//     using P = ...;   // accumulator form (Montgomery residue / extended point)
+//     using A = ...;   // table form for mixed additions (residue / Niels point)
+//     static constexpr bool kCheapNegate;  // NegA is ~free (curve groups)
+//     static P Identity();
+//     static P Lift(const G::Element&);    // public -> accumulator form
+//     static G::Element Lower(const P&);   // accumulator -> public form
+//     static A ToA(const P&);              // single conversion (may invert)
+//     static void Normalize(const std::vector<P>&, std::vector<A>*);  // batch
+//     static P Add(const P&, const P&);
+//     static P AddA(const P&, const A&);   // mixed add (the table hot path)
+//     static P Dbl(const P&);
+//     static A NegA(const A&);             // only called when kCheapNegate
+//   };
 template <typename G>
 concept PrimeOrderGroup =
     GroupScalar<typename G::Scalar> &&
@@ -57,6 +79,7 @@ concept PrimeOrderGroup =
       { G::Decode(bytes) } -> std::same_as<std::optional<typename G::Element>>;
       { G::HashToGroup(bytes, bytes) } -> std::same_as<typename G::Element>;
       { e == e } -> std::convertible_to<bool>;
+      { G::Accel::Lower(G::Accel::Lift(e)) } -> std::same_as<typename G::Element>;
     };
 
 static_assert(PrimeOrderGroup<ModP256>);

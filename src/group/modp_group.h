@@ -1,10 +1,15 @@
-// Schnorr groups: the order-q subgroup of quadratic residues in Z_p* for a
-// safe prime p = 2q + 1. This is the "Gq subset of Z_p* based on the finite
-// field discrete log problem" instantiation the paper benchmarks.
+// Prime-order subgroups of Z_p*: the order-q subgroup for a prime
+// p = q * cofactor + 1 (src/group/modp_params.h). This is the "Gq subset of
+// Z_p* based on the finite field discrete log problem" instantiation the
+// paper benchmarks. A safe prime (cofactor 2) gives the quadratic residues
+// with (p-1)/2-sized scalars; the DSA/Schnorr-style sets keep scalars at 4
+// limbs (QL) whatever the modulus size, so exponentiation costs ~256
+// squarings instead of ~|p|.
 //
 // Elements are stored in plain (non-Montgomery) representation and always
-// satisfy 1 <= e < p with e^q = 1. Decode() enforces subgroup membership, so
-// adversarial wire input cannot smuggle in elements of order 2 or 2q.
+// satisfy 1 <= e < p with e^q = 1. Decode() enforces subgroup membership with
+// one q-exponentiation, so adversarial wire input cannot smuggle in elements
+// whose order divides the cofactor.
 #ifndef SRC_GROUP_MODP_GROUP_H_
 #define SRC_GROUP_MODP_GROUP_H_
 
@@ -17,16 +22,16 @@
 
 namespace vdp {
 
-template <size_t L, const ModPParams<L>& (*Params)()>
+template <size_t L, size_t QL, const ModPParams<L, QL>& (*Params)()>
 class ModPGroup {
  public:
   static constexpr size_t kLimbs = L;
   static constexpr size_t kElementSize = BigInt<L>::kBytes;
 
   struct ScalarTag {
-    static const BigInt<L>& Order() { return Params().q; }
+    static const BigInt<QL>& Order() { return Params().q; }
   };
-  using Scalar = ScalarField<L, ScalarTag>;
+  using Scalar = ScalarField<QL, ScalarTag>;
 
   class Element {
    public:
@@ -43,7 +48,7 @@ class ModPGroup {
     BigInt<L> v_;
   };
 
-  // Acceleration kernel (see src/group/accel.h): values held in Montgomery
+  // Acceleration kernel (see src/group/group.h): values held in Montgomery
   // form so the MulMont/SqrMont round-trips of the public Mul disappear from
   // table and MSM inner loops. "Affine" and accumulator forms coincide.
   struct Accel {
@@ -66,11 +71,11 @@ class ModPGroup {
     }
   };
 
-  static std::string Name() { return "modp-" + std::to_string(L * 64); }
+  static std::string Name() { return Params().name; }
 
   static Element Identity() { return Element(); }
 
-  static Element Generator() { return Element(Mod(BigInt<L>::FromU64(Params().g), Params().p)); }
+  static Element Generator() { return Element(Params().g); }
 
   // Group operation (modular multiplication).
   static Element Mul(const Element& a, const Element& b) {
@@ -107,16 +112,16 @@ class ModPGroup {
 
   // Membership test: e^q == 1 (q is the subgroup order).
   static bool InSubgroup(const Element& e) {
-    return PCtx().template ExpMod<L>(e.v_, Params().q) == BigInt<L>::One();
+    return PCtx().template ExpMod<QL>(e.v_, Params().q) == BigInt<L>::One();
   }
 
-  // Derives an element of the subgroup from a domain-separated hash by
-  // squaring a pseudorandom field element (every square is a QR; the QR group
-  // has prime order q so every non-identity element generates it).
+  // Derives an element of the subgroup from a domain-separated hash: a
+  // pseudorandom field element raised to the cofactor lands in the order-q
+  // subgroup, and since q is prime every non-identity result generates it.
   static Element HashToGroup(BytesView domain, BytesView msg) {
     for (uint64_t counter = 0;; ++counter) {
       Sha256 h;
-      h.Update(StrView("vdp/modp-hash-to-group"));
+      h.Update(StrView(Params().hash_domain));
       uint8_t dlen = static_cast<uint8_t>(domain.size());
       h.Update(BytesView(&dlen, 1));
       h.Update(domain);
@@ -136,9 +141,12 @@ class ModPGroup {
       wide.resize(kElementSize);
       auto u = BigInt<L>::FromBytesBe(wide);
       BigInt<L> reduced = Mod(*u, Params().p);
-      BigInt<L> squared = PCtx().MulMod(reduced, reduced);
-      if (!squared.IsZero() && squared != BigInt<L>::One()) {
-        return Element(squared);
+      if (reduced.IsZero()) {
+        continue;
+      }
+      BigInt<L> cleared = PCtx().ExpMod(reduced, Params().cofactor);
+      if (cleared != BigInt<L>::One()) {
+        return Element(cleared);
       }
     }
   }
@@ -153,12 +161,15 @@ class ModPGroup {
 // Parameter sets. ModP64 exists solely for memory/throughput soak runs that
 // need millions of cheap-but-real proofs (tools/stream_soak) and ModP256 is
 // for fast tests only -- neither has any security margin; ModP2048 matches
-// contemporary guidance for finite-field DLOG.
-using ModP64 = ModPGroup<1, ModP64Params>;
-using ModP256 = ModPGroup<4, ModP256Params>;
-using ModP512 = ModPGroup<8, ModP512Params>;
-using ModP1024 = ModPGroup<16, ModP1024Params>;
-using ModP2048 = ModPGroup<32, ModP2048Params>;
+// contemporary guidance for finite-field DLOG. Schnorr512 and Schnorr2048
+// are the short-exponent (256-bit q) sets.
+using ModP64 = ModPGroup<1, 1, ModP64Params>;
+using ModP256 = ModPGroup<4, 4, ModP256Params>;
+using ModP512 = ModPGroup<8, 8, ModP512Params>;
+using ModP1024 = ModPGroup<16, 16, ModP1024Params>;
+using ModP2048 = ModPGroup<32, 32, ModP2048Params>;
+using Schnorr512 = ModPGroup<8, 4, Schnorr512Params>;
+using Schnorr2048 = ModPGroup<32, 4, Schnorr2048Params>;
 
 }  // namespace vdp
 

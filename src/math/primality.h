@@ -1,7 +1,7 @@
 // Miller-Rabin primality testing and safe-prime generation.
 //
-// Used by tools/gen_params to produce the Schnorr-group moduli and by tests to
-// revalidate the hard-coded parameters.
+// Used by tools/gen_params to produce the Z_p* group parameters and by tests
+// to revalidate the hard-coded ones.
 #ifndef SRC_MATH_PRIMALITY_H_
 #define SRC_MATH_PRIMALITY_H_
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/group/modp_params.h"
 #include "src/math/montgomery.h"
 
 namespace vdp {
@@ -181,20 +182,13 @@ BigInt<L> GenerateSafePrime(size_t bits, SecureRng& rng) {
 }
 
 // DSA/Schnorr-style group generation: prime p with a prime subgroup of order
-// q where q has exactly `qbits` bits and p has exactly `pbits`. Exponents in
-// such a group are q-sized (short), which is how production finite-field
-// deployments keep exponentiation fast at large p.
+// q where q has exactly `qbits` (at most 256) bits and p has exactly `pbits`.
+// Exponents in such a group are q-sized (short), which is how production
+// finite-field deployments keep exponentiation fast at large p. Fills p, q,
+// cofactor and g; the name and hash domain are left empty.
 template <size_t L>
-struct SchnorrGroupDescriptor {
-  BigInt<L> p;
-  BigInt<4> q;         // subgroup order (up to 256 bits)
-  BigInt<L> cofactor;  // (p - 1) / q
-  BigInt<L> g;         // generator of the order-q subgroup
-};
-
-template <size_t L>
-SchnorrGroupDescriptor<L> GenerateSchnorrGroup(size_t pbits, size_t qbits, SecureRng& rng) {
-  SchnorrGroupDescriptor<L> desc;
+ModPParams<L, 4> GenerateSchnorrGroup(size_t pbits, size_t qbits, SecureRng& rng) {
+  ModPParams<L, 4> params;
   // One prime q for the whole search.
   for (;;) {
     Bytes raw = rng.RandomBytes((qbits + 7) / 8);
@@ -205,7 +199,7 @@ SchnorrGroupDescriptor<L> GenerateSchnorrGroup(size_t pbits, size_t qbits, Secur
     q.SetBit(qbits - 1);
     q.limb[0] |= 1;
     if (IsProbablePrime(q, 24, rng)) {
-      desc.q = q;
+      params.q = q;
       break;
     }
   }
@@ -223,7 +217,7 @@ SchnorrGroupDescriptor<L> GenerateSchnorrGroup(size_t pbits, size_t qbits, Secur
     if (k.IsZero()) {
       continue;
     }
-    BigInt<L> q_wide = desc.q.template Resize<L>();
+    BigInt<L> q_wide = params.q.template Resize<L>();
     BigInt<2 * L> product = Mul(q_wide, k);
     BigInt<L> p = product.template Resize<L>();
     // Reject if the product overflowed L limbs (it cannot for our sizes).
@@ -241,21 +235,21 @@ SchnorrGroupDescriptor<L> GenerateSchnorrGroup(size_t pbits, size_t qbits, Secur
     if (divisible || !IsProbablePrime(p, 2, rng) || !IsProbablePrime(p, 24, rng)) {
       continue;
     }
-    desc.p = p;
-    desc.cofactor = k;
+    params.p = p;
+    params.cofactor = k;
     break;
   }
 
   // Generator: smallest h with h^cofactor != 1.
-  MontgomeryCtx<L> ctx(desc.p);
+  MontgomeryCtx<L> ctx(params.p);
   for (uint64_t h = 2;; ++h) {
-    BigInt<L> candidate = ctx.ExpMod(BigInt<L>::FromU64(h), desc.cofactor);
+    BigInt<L> candidate = ctx.ExpMod(BigInt<L>::FromU64(h), params.cofactor);
     if (candidate != BigInt<L>::One()) {
-      desc.g = candidate;
+      params.g = candidate;
       break;
     }
   }
-  return desc;
+  return params;
 }
 
 }  // namespace vdp

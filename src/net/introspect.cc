@@ -244,18 +244,7 @@ std::string StatsToJson(const obs::MetricsSnapshot& snapshot,
   if (!spans.empty()) {
     obs::JsonValue span_array = obs::JsonValue::Array();
     for (const obs::SpanRecord& span : spans) {
-      obs::JsonValue s = obs::JsonValue::Object();
-      s.Set("name", obs::JsonValue::String(span.name));
-      s.Set("trace_id", obs::JsonValue::String(obs::IdToHex(span.trace_id)));
-      s.Set("span_id", obs::JsonValue::String(obs::IdToHex(span.span_id)));
-      s.Set("parent_span_id", obs::JsonValue::String(obs::IdToHex(span.parent_span_id)));
-      s.Set("start_us", obs::JsonValue::Number(static_cast<double>(span.start_us)));
-      s.Set("duration_us", obs::JsonValue::Number(static_cast<double>(span.duration_us)));
-      s.Set("proc", obs::JsonValue::String(span.proc));
-      if (!span.detail.empty()) {
-        s.Set("detail", obs::JsonValue::String(span.detail));
-      }
-      span_array.Append(std::move(s));
+      span_array.Append(obs::SpanToJson(span));
     }
     with_schema.Set("spans", std::move(span_array));
   }

@@ -95,6 +95,21 @@ std::string IdToHex(uint64_t id) {
   return out;
 }
 
+JsonValue SpanToJson(const SpanRecord& span) {
+  JsonValue obj = JsonValue::Object();
+  obj.Set("name", JsonValue::String(span.name));
+  obj.Set("trace_id", JsonValue::String(IdToHex(span.trace_id)));
+  obj.Set("span_id", JsonValue::String(IdToHex(span.span_id)));
+  obj.Set("parent_span_id", JsonValue::String(IdToHex(span.parent_span_id)));
+  obj.Set("start_us", JsonValue::Number(static_cast<double>(span.start_us)));
+  obj.Set("duration_us", JsonValue::Number(static_cast<double>(span.duration_us)));
+  obj.Set("proc", JsonValue::String(span.proc));
+  if (!span.detail.empty()) {
+    obj.Set("detail", JsonValue::String(span.detail));
+  }
+  return obj;
+}
+
 uint64_t CurrentRssHwmKb() {
   FILE* status = std::fopen("/proc/self/status", "r");
   if (status == nullptr) {
@@ -232,18 +247,7 @@ void RunLogWriter::Metrics(const MetricsSnapshot& snapshot) {
 
 void RunLogWriter::Spans(const std::vector<SpanRecord>& spans) {
   for (const SpanRecord& span : spans) {
-    JsonValue obj = JsonValue::Object();
-    obj.Set("name", JsonValue::String(span.name));
-    obj.Set("trace_id", JsonValue::String(IdToHex(span.trace_id)));
-    obj.Set("span_id", JsonValue::String(IdToHex(span.span_id)));
-    obj.Set("parent_span_id", JsonValue::String(IdToHex(span.parent_span_id)));
-    obj.Set("start_us", JsonValue::Number(static_cast<double>(span.start_us)));
-    obj.Set("duration_us", JsonValue::Number(static_cast<double>(span.duration_us)));
-    obj.Set("proc", JsonValue::String(span.proc));
-    if (!span.detail.empty()) {
-      obj.Set("detail", JsonValue::String(span.detail));
-    }
-    Line("span", std::move(obj));
+    Line("span", SpanToJson(span));
   }
 }
 

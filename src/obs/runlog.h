@@ -61,6 +61,11 @@ const std::string& GitSha();
 // 64-bit id as lowercase hex (no 0x), the run-log's span id encoding.
 std::string IdToHex(uint64_t id);
 
+// One span as a JSON object: name, trace_id, span_id, parent_span_id,
+// start_us, duration_us, proc, and detail when nonempty. The run-log's span
+// lines and the admin plane's stats dump both carry this form.
+JsonValue SpanToJson(const SpanRecord& span);
+
 // This process's peak resident set size in KiB (VmHWM from
 // /proc/self/status); 0 where the proc filesystem is unavailable. Peak, not
 // current: the kernel's high-water mark is what bounded-memory claims are

@@ -225,7 +225,7 @@ OrProof<G> OrProve(const Pedersen<G>& ped, const typename G::Element& c, int bit
 template <PrimeOrderGroup G>
 bool OrVerifyWithChallenge(const Pedersen<G>& ped, const typename G::Element& c,
                            const OrProof<G>& proof, const typename G::Scalar& e) {
-  using Ac = AccelOf<G>;
+  using Ac = typename G::Accel;
   if (proof.e0 + proof.e1 != e) {
     return false;
   }

@@ -1,4 +1,4 @@
-#include "src/group/schnorr_group.h"
+#include "src/group/modp_group.h"
 
 #include <gtest/gtest.h>
 

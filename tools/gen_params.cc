@@ -1,10 +1,15 @@
-// Generates the safe-prime Schnorr-group moduli hard-coded in
-// src/group/modp_params.cc. Run once per parameter set:
+// Generates the Z_p* group parameters hard-coded in src/group/modp_params.cc.
+// Run once per parameter set:
 //
 //   gen_params <bits>
 //
-// Prints the safe prime p (hex). The subgroup of quadratic residues mod p has
+// Prints a safe prime p (hex). The subgroup of quadratic residues mod p has
 // prime order q = (p-1)/2; g = 4 generates it.
+//
+//   gen_params schnorr <512|2048>
+//
+// Prints p, a 256-bit prime q dividing p - 1, and a generator g of the
+// order-q subgroup (the short-exponent sets).
 //
 //   gen_params list
 //
@@ -25,12 +30,12 @@ template <size_t L>
 void GenerateSchnorr(size_t pbits) {
   vdp::SecureRng rng = vdp::SecureRng::FromEntropy();
   vdp::Stopwatch timer;
-  auto desc = vdp::GenerateSchnorrGroup<L>(pbits, 256, rng);
+  auto params = vdp::GenerateSchnorrGroup<L>(pbits, 256, rng);
   std::printf("// %zu-bit modulus with 256-bit subgroup (generated in %.1f s)\n", pbits,
               timer.ElapsedSeconds());
-  std::printf("p = %s\n", desc.p.ToHex().c_str());
-  std::printf("q = %s\n", desc.q.ToHex().c_str());
-  std::printf("g = %s\n", desc.g.ToHex().c_str());
+  std::printf("p = %s\n", params.p.ToHex().c_str());
+  std::printf("q = %s\n", params.q.ToHex().c_str());
+  std::printf("g = %s\n", params.g.ToHex().c_str());
 }
 
 template <size_t L>
