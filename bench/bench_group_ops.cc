@@ -3,11 +3,14 @@
 // comb fixed-base Exp (the Pedersen/verifier path) with its window and table
 // size, wNAF and Pippenger MSM per-term cost, plain group Mul, (batch)
 // encoding, strict Decode of a member encoding (the public auditor's
-// per-element cost), the field square root inside that decode, the client's
+// per-element cost) one at a time and in ElementBlobs' chunks, the field
+// square root inside that decode and the (p-5)/8 power behind it, one chain
+// at a time and in PowP58Batch, the client's
 // OR proof per secret bit, one OR proof's Fiat-Shamir challenge
 // (OrChallenge), and the wide reduction behind every challenge. Top-level
 // fields give SHA-256 throughput and the block function this CPU selected
-// (sha-ni or portable), so an artifact names the path it measured. One table makes the comb and kernel speedups visible per group,
+// (sha-ni or portable), and the PowP58Batch kernel it selected (ifma8 or
+// portable4), so an artifact names the paths it measured. One table makes the comb and kernel speedups visible per group,
 // and the committed BENCH_group_ops.json baseline plus the CI artifact keep
 // them trended.
 //
@@ -57,7 +60,10 @@ struct GroupRow {
   double encode_us = 0;
   double encode_batch_us = 0;  // per element, batch of 256
   double decode_us = 0;        // strict Decode (range + subgroup) of a member
+  double decode_batch_us = 0;  // the same per element, via ElementBlobs::Decode
   double sqrt_us = -1;         // field square root in Decode; < 0: none
+  double powp58_us = -1;       // one Fe25519::PowP58 chain; < 0: none
+  double powp58_batch_us = -1;  // per element of a PowP58Batch of 256
   double or_prove_us[2] = {0, 0};  // OrProve of a bit-0 / bit-1 commitment
   double or_challenge_us = 0;      // OrChallenge from encoded (c, a0, a1)
   double scalar_wide_us = 0;       // FromBytesWide of a 32-byte digest
@@ -76,6 +82,16 @@ double Sha256MbPerSecond(const char* impl) {
   const double mb_s = reps * (data.size() / 1e6) / (timer.ElapsedMillis() / 1000.0);
   std::printf("sha256: %s, %.1f MB/s (digest fold %02x)\n", impl, mb_s, fold);
   return mb_s;
+}
+
+// A column only some groups have: `none` when the value is negative.
+std::string Optional(double us, const char* none, int decimals) {
+  if (us < 0) {
+    return none;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, us);
+  return buf;
 }
 
 template <vdp::PrimeOrderGroup G>
@@ -167,6 +183,17 @@ GroupRow Measure() {
   }
   row.decode_us = timer.ElapsedMillis() * 1000.0 / reps;
 
+  // The bulk decoder's path, inline on this thread: chunks of
+  // ElementBlobs::kDecodeChunk entries through G::DecodeBatch.
+  std::vector<typename G::Element> slots(reps);
+  vdp::ElementBlobs<G> blobs;
+  for (size_t i = 0; i < reps; ++i) {
+    blobs.Add(encoded[i % encoded.size()], &slots[i]);
+  }
+  timer.Reset();
+  decoded += blobs.Decode(/*pool=*/nullptr) ? 1 : 0;
+  row.decode_batch_us = timer.ElapsedMillis() * 1000.0 / reps;
+
   // Only ed25519's Decode takes a square root (decompression); mod-p and
   // Schnorr elements are checked by e^q == 1, which exp_generic_us covers.
   if constexpr (std::is_same_v<G, vdp::Ed25519Group>) {
@@ -182,6 +209,23 @@ GroupRow Measure() {
       decoded += squares[i % squares.size()].Sqrt().has_value() ? 1 : 0;
     }
     row.sqrt_us = timer.ElapsedMillis() * 1000.0 / reps;
+
+    std::vector<vdp::Fe25519> powers(256);
+    for (size_t i = 0; i < powers.size(); ++i) {
+      powers[i] = squares[i % squares.size()];
+    }
+    timer.Reset();
+    for (size_t i = 0; i < reps; ++i) {
+      powers[i % powers.size()] = powers[i % powers.size()].PowP58();
+    }
+    row.powp58_us = timer.ElapsedMillis() * 1000.0 / reps;
+    const size_t batch_reps = reps / powers.size() + 1;
+    timer.Reset();
+    for (size_t r = 0; r < batch_reps; ++r) {
+      vdp::Fe25519::PowP58Batch(powers.data(), powers.data(), powers.size());
+    }
+    row.powp58_batch_us = timer.ElapsedMillis() * 1000.0 / (batch_reps * powers.size());
+    decoded += powers[0].IsZero() ? 0 : 1;
   }
 
   // The client's OR proof for each secret bit: both run one ExpH and one
@@ -235,29 +279,33 @@ int main(int argc, char** argv) {
   std::vector<GroupRow> rows;
   const char* sha256_impl = vdp::sha256_internal::HasShaNi() ? "sha-ni" : "portable";
   const double sha256_mb_s = Sha256MbPerSecond(sha256_impl);
+  const char* field_kernel = vdp::fe25519_internal::BatchKernelName();
+  std::printf("field_kernel: %s", field_kernel);
+  if (const char* missing = vdp::fe25519_internal::MissingIfmaFeature()) {
+    std::printf(" (no ifma8: this CPU or OS lacks %s)", missing);
+  }
+  std::printf("\n");
   vdp::ForEachRegisteredGroup([&](auto tag) {
     using G = typename decltype(tag)::Group;
     std::printf("measuring %s...\n", G::Name().c_str());
     rows.push_back(Measure<G>());
   });
 
-  std::printf("\n%-18s %6s %12s %12s %4s %9s %12s %12s %10s %10s %10s %10s %10s %10s %10s "
-              "%10s %10s\n",
+  std::printf("\n%-18s %6s %12s %12s %4s %9s %12s %12s %10s %10s %10s %10s %10s %10s %10s %10s "
+              "%10s %10s %10s %10s\n",
               "group", "bits", "exp(us)", "comb(us)", "w", "tab(KB)", "wnaf/t(us)", "pip/t(us)",
-              "mul(us)", "enc(us)", "encB(us)", "dec(us)", "or0(us)", "or1(us)", "orFS(us)",
-              "wide(us)", "sqrt(us)");
+              "mul(us)", "enc(us)", "encB(us)", "dec(us)", "decB(us)", "or0(us)", "or1(us)",
+              "orFS(us)", "wide(us)", "sqrt(us)", "p58(us)", "p58B(us)");
   for (const auto& r : rows) {
-    std::printf("%-18s %6zu %12.2f %12.2f %4zu %9.1f %12.2f %12.2f %10.3f %10.3f %10.3f %10.2f ",
+    std::printf("%-18s %6zu %12.2f %12.2f %4zu %9.1f %12.2f %12.2f %10.3f %10.3f %10.3f %10.2f "
+                "%10.2f ",
                 r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us, r.comb_window,
                 r.comb_table_kb, r.msm_wnaf_per_term_us, r.msm_pippenger_per_term_us, r.mul_us,
-                r.encode_us, r.encode_batch_us, r.decode_us);
-    std::printf("%10.2f %10.2f %10.3f %10.3f ", r.or_prove_us[0], r.or_prove_us[1],
-                r.or_challenge_us, r.scalar_wide_us);
-    if (r.sqrt_us < 0) {
-      std::printf("%10s\n", "-");
-    } else {
-      std::printf("%10.2f\n", r.sqrt_us);
-    }
+                r.encode_us, r.encode_batch_us, r.decode_us, r.decode_batch_us);
+    std::printf("%10.2f %10.2f %10.3f %10.3f %10s %10s %10s\n", r.or_prove_us[0],
+                r.or_prove_us[1], r.or_challenge_us, r.scalar_wide_us,
+                Optional(r.sqrt_us, "-", 2).c_str(), Optional(r.powp58_us, "-", 2).c_str(),
+                Optional(r.powp58_batch_us, "-", 2).c_str());
   }
 
   FILE* f = std::fopen(out.c_str(), "w");
@@ -268,27 +316,27 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n  \"bench\": \"group_ops\",\n  \"hardware_concurrency\": %u,\n"
                "  \"sha256_impl\": \"%s\",\n  \"sha256_mb_s\": %.1f,\n"
-               "  \"results\": [\n",
-               std::thread::hardware_concurrency(), sha256_impl, sha256_mb_s);
+               "  \"field_kernel\": \"%s\",\n  \"results\": [\n",
+               std::thread::hardware_concurrency(), sha256_impl, sha256_mb_s, field_kernel);
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
-    char sqrt_buf[32];
-    std::snprintf(sqrt_buf, sizeof(sqrt_buf), "%.3f", r.sqrt_us);
-    const std::string sqrt_json = r.sqrt_us < 0 ? "null" : sqrt_buf;
     std::fprintf(f,
                  "    {\"group\": \"%s\", \"order_bits\": %zu, \"exp_generic_us\": %.3f, "
                  "\"exp_comb_us\": %.3f, \"comb_window\": %zu, \"comb_table_kb\": %.1f, "
                  "\"table_build_ms\": %.3f, \"msm_wnaf_per_term_us\": %.3f, "
                  "\"msm_pippenger_per_term_us\": %.3f, "
                  "\"mul_us\": %.4f, \"encode_us\": %.4f, \"encode_batch_us\": %.4f, "
-                 "\"decode_us\": %.3f, \"sqrt_us\": %s, \"or_prove_bit0_us\": %.3f, "
+                 "\"decode_us\": %.3f, \"decode_batch_us\": %.3f, \"sqrt_us\": %s, "
+                 "\"powp58_us\": %s, \"powp58_batch_us\": %s, \"or_prove_bit0_us\": %.3f, "
                  "\"or_prove_bit1_us\": %.3f, \"or_challenge_us\": %.3f, "
                  "\"scalar_wide_us\": %.4f}%s\n",
                  r.group.c_str(), r.order_bits, r.exp_generic_us, r.exp_comb_us, r.comb_window,
                  r.comb_table_kb, r.table_build_ms, r.msm_wnaf_per_term_us,
                  r.msm_pippenger_per_term_us, r.mul_us, r.encode_us, r.encode_batch_us,
-                 r.decode_us, sqrt_json.c_str(),
-                 r.or_prove_us[0], r.or_prove_us[1], r.or_challenge_us, r.scalar_wide_us,
+                 r.decode_us, r.decode_batch_us, Optional(r.sqrt_us, "null", 3).c_str(),
+                 Optional(r.powp58_us, "null", 3).c_str(),
+                 Optional(r.powp58_batch_us, "null", 3).c_str(), r.or_prove_us[0],
+                 r.or_prove_us[1], r.or_challenge_us, r.scalar_wide_us,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -70,8 +70,10 @@ bool BatchOpeningsValid(const Pedersen<G>& ped, const std::string& domain, size_
     for (size_t i = from; i < to; ++i) {
       const OpeningRef<G> o = at(i);
       binder.Add(enc[i - from]);
-      binder.Add(o.m.Encode());
-      binder.Add(o.r.Encode());
+      const auto m = o.m.EncodeArray();
+      const auto r = o.r.EncodeArray();
+      binder.Add(BytesView(m.data(), m.size()));
+      binder.Add(BytesView(r.data(), r.size()));
     }
   }
   SecureRng rng = binder.Fork();

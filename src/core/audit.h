@@ -133,7 +133,7 @@ std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data, ThreadP
 }  // namespace audit_internal
 
 // Parses a published transcript, decoding its group elements on
-// GlobalPool() (see ElementBlobs::Decode: not from inside a GlobalPool
+// GlobalPool() (see ElementBlobs::DecodeEach: not from inside a GlobalPool
 // task).
 template <PrimeOrderGroup G>
 std::optional<PublicTranscript<G>> DeserializeTranscript(BytesView data) {

@@ -64,6 +64,16 @@ GePoint AddCached(const GePoint& p, const GeCached& q) {
   return r;
 }
 
+// ---- Strict decode in lockstep ----------------------------------------------
+//
+// A strict decode is five field exponentiations -- decompression's
+// square-root ratio and four in the subgroup check below -- with a little
+// scalar work between them. Each encoding is a lane; a step finishes what
+// one exponentiation began and leaves the radicand of the next, and
+// RunStep raises the radicands of every live lane with one PowP58Batch
+// before each step, so eight encodings cost about one vector chain per
+// exponentiation. A lane that fails a step drops out of the later ones.
+//
 // Subgroup membership by point halving. E(F_p) = Z/8 x Z/l, so P lies in
 // the order-l subgroup iff P = 8R for some rational R, i.e. iff P can be
 // halved three times without leaving F_p. On the birationally equivalent
@@ -80,69 +90,204 @@ GePoint AddCached(const GePoint& p, const GeCached& q) {
 // Every value is a fraction over a shared denominator z, so no inversion is
 // needed: 4 exponentiations instead of the ~252 doublings of [l]P. The
 // inputs are u = un / z with un, z != 0 (x != 0 has been ruled out).
-bool HalvesThreeTimes(Fe25519 un, Fe25519 z) {
-  static const Fe25519 kA = Fe25519::FromU64(486662);
+
+constexpr uint64_t kMontgomeryA = 486662;
+
+enum class LaneStatus : uint8_t { kLive, kAccept, kReject };
+
+// One encoding's progress through the decode.
+struct DecodeLane {
+  bool sign = false;   // the sign bit of x in the encoding
+  Fe25519 x, y;        // the decompressed point
+  Fe25519 u, v, uv3;   // decompression: x^2 = u / v, uv3 = u v^3
+  Fe25519 un, z;       // halving: the Montgomery u-coordinate un / z
+  Fe25519 q, s;        // level 1: the root q and s = un + q
+  Fe25519 wn;          // level 2: the half's u-coordinate wn / z
+  Fe25519 radicand;    // what the next step's exponentiation raises
+
+  GePoint Point() const { return GePoint{x, y, Fe25519::One(), Fe25519::Mul(x, y)}; }
+};
+
+// A step, given pow = radicand^((p-5)/8): kLive to go on, or the verdict.
+using LaneStep = LaneStatus (*)(DecodeLane&, const Fe25519& pow);
+
+// One step for lanes [0, n), n <= kLanes: one PowP58Batch raises every live
+// lane's radicand, then each live lane takes the step. On the stack: bulk
+// decodes run this on pool workers, which must not allocate (see
+// ElementBlobs::DecodeEach in src/group/group.h).
+template <size_t kLanes, LaneStep kStep>
+void RunStep(DecodeLane* lanes, LaneStatus* status, size_t n) {
+  std::array<Fe25519, kLanes> pow;
+  std::array<size_t, kLanes> live{};
+  size_t m = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (status[i] == LaneStatus::kLive) {
+      live[m] = i;
+      pow[m++] = lanes[i].radicand;
+    }
+  }
+  if (m == 0) {
+    return;
+  }
+  Fe25519::PowP58Batch(pow.data(), pow.data(), m);
+  for (size_t k = 0; k < m; ++k) {
+    status[live[k]] = kStep(lanes[live[k]], pow[k]);
+  }
+}
+
+// Reads y and the sign of x and sets up x^2 = (y^2 - 1) / (d y^2 + 1);
+// false unless the bytes are 32 with a canonical y.
+bool BeginDecompress(BytesView bytes, DecodeLane& l) {
+  if (bytes.size() != Ed25519Group::kElementSize) {
+    return false;
+  }
+  std::array<uint8_t, Ed25519Group::kElementSize> y_bytes{};
+  std::copy(bytes.begin(), bytes.end(), y_bytes.begin());
+  l.sign = (y_bytes[31] & 0x80) != 0;
+  y_bytes[31] &= 0x7f;
+  auto y = Fe25519::FromBytes(y_bytes);
+  if (!y.has_value()) {
+    return false;
+  }
+  l.y = *y;
+  Fe25519 yy = Fe25519::Square(l.y);
+  l.u = Fe25519::Sub(yy, Fe25519::One());
+  l.v = Fe25519::Add(Fe25519::Mul(Ed25519Group::D(), yy), Fe25519::One());
+  l.radicand = Fe25519::SqrtRatioRadicand(l.u, l.v, &l.uv3);
+  return true;
+}
+
+// x from the square-root ratio, whose success is exactly the on-curve
+// condition, with the encoded sign; -0 is not a valid encoding.
+bool FinishDecompress(DecodeLane& l, const Fe25519& pow) {
+  auto x = Fe25519::SqrtRatioGivenPow(l.u, l.v, l.uv3, pow);
+  if (!x.has_value() || (x->IsZero() && l.sign)) {
+    return false;
+  }
+  l.x = x->IsNegative() != l.sign ? Fe25519::Neg(*x) : *x;
+  return true;
+}
+
+// (u^2 + A u + 1) z^2 for u = un / z: a square iff the point is in 2E.
+Fe25519 InTwiceRadicand(const Fe25519& un, const Fe25519& z) {
+  static const Fe25519 kA = Fe25519::FromU64(kMontgomeryA);
+  return Fe25519::Add(Fe25519::Add(Fe25519::Square(un), Fe25519::Square(z)),
+                      Fe25519::Mul(kA, Fe25519::Mul(un, z)));
+}
+
+void BeginHalving(DecodeLane& l, const Fe25519& un, const Fe25519& z) {
+  l.un = un;
+  l.z = z;
+  l.radicand = InTwiceRadicand(un, z);
+}
+
+// Decompression, then the start of the subgroup check on the affine point.
+LaneStatus DecodeStep(DecodeLane& l, const Fe25519& pow) {
+  if (!FinishDecompress(l, pow)) {
+    return LaneStatus::kReject;
+  }
+  if (l.x.IsZero()) {  // (0, 1) is the identity; (0, -1) has order 2
+    return l.y == Fe25519::One() ? LaneStatus::kAccept : LaneStatus::kReject;
+  }
+  // Montgomery u = (1 + y) / (1 - y).
+  BeginHalving(l, Fe25519::Add(Fe25519::One(), l.y), Fe25519::Sub(Fe25519::One(), l.y));
+  return LaneStatus::kLive;
+}
+
+// Level 1: P in 2E. Then try s = 2(un + q) / z: s^2 - 4 = 4m / z^2 with
+// m = (un + q)^2 - z^2, whose root the next step takes.
+LaneStatus LevelOneStep(DecodeLane& l, const Fe25519& pow) {
+  auto q = l.radicand.SqrtGivenPow(pow);
+  if (!q.has_value()) {
+    return LaneStatus::kReject;
+  }
+  l.q = *q;
+  l.s = Fe25519::Add(l.un, l.q);
+  l.radicand = Fe25519::Sub(Fe25519::Square(l.s), Fe25519::Square(l.z));
+  return LaneStatus::kLive;
+}
+
+// One rational half w = wn / z. beta = m^((p+3)/8) either roots m
+// (beta^2 = +-m) or, when m is a non-square (beta^2 = eps * m,
+// eps = +-sqrt(-1)), roots the other candidate: m' = un^2 z^2 (A^2 - 4) / m,
+// so sqrt(m') = un z sqrt((A^2 - 4) eps) / beta, and the 1/beta moves into
+// the shared denominator. Then level 2 asks whether the half is in 2E.
+LaneStatus HalfStep(DecodeLane& l, const Fe25519& pow) {
   static const Fe25519 kAA4 =  // A^2 - 4, a non-square
-      Fe25519::Sub(Fe25519::Square(kA), Fe25519::FromU64(4));
+      Fe25519::Sub(Fe25519::Square(Fe25519::FromU64(kMontgomeryA)), Fe25519::FromU64(4));
   // sqrt((A^2 - 4) * eps) for eps = sqrt(-1) and -sqrt(-1); both are
   // squares because sqrt(-1) is itself a non-square for this p.
   static const Fe25519 kRootPlus = *Fe25519::Mul(kAA4, Fe25519::SqrtM1()).Sqrt();
   static const Fe25519 kRootMinus =
       *Fe25519::Neg(Fe25519::Mul(kAA4, Fe25519::SqrtM1())).Sqrt();
 
-  // Level 1: P in 2E, then one rational half w = wn / z.
-  auto q = Fe25519::Add(Fe25519::Add(Fe25519::Square(un), Fe25519::Square(z)),
-                        Fe25519::Mul(kA, Fe25519::Mul(un, z)))
-               .Sqrt();
-  if (!q.has_value()) {
-    return false;
-  }
-  // Try s = 2(un + q) / z: s^2 - 4 = 4m / z^2 with m = (un + q)^2 - z^2.
-  // One exponentiation beta = m^((p+3)/8) either roots m (beta^2 = +-m) or,
-  // when m is a non-square (beta^2 = eps * m, eps = +-sqrt(-1)), roots the
-  // other candidate: m' = un^2 z^2 (A^2 - 4) / m, so
-  // sqrt(m') = un z sqrt((A^2 - 4) eps) / beta, and the 1/beta moves into
-  // the shared denominator.
-  Fe25519 s = Fe25519::Add(un, *q);
-  Fe25519 m = Fe25519::Sub(Fe25519::Square(s), Fe25519::Square(z));
-  Fe25519 beta = Fe25519::Mul(m, m.PowP58());
+  const Fe25519& m = l.radicand;
+  Fe25519 beta = Fe25519::Mul(m, pow);
   Fe25519 beta2 = Fe25519::Square(beta);
   Fe25519 wn;
   if (beta2 == m) {
-    wn = Fe25519::Add(s, beta);
+    wn = Fe25519::Add(l.s, beta);
   } else if (beta2 == Fe25519::Neg(m)) {
-    wn = Fe25519::Add(s, Fe25519::Mul(beta, Fe25519::SqrtM1()));
+    wn = Fe25519::Add(l.s, Fe25519::Mul(beta, Fe25519::SqrtM1()));
   } else {
     // m != 0, so m^((p-1)/4) is a fourth root of unity: here +-sqrt(-1).
     const Fe25519& root = beta2 == Fe25519::Mul(Fe25519::SqrtM1(), m) ? kRootPlus : kRootMinus;
-    Fe25519 s_other = Fe25519::Sub(un, *q);
-    wn = Fe25519::Add(Fe25519::Mul(beta, s_other), Fe25519::Mul(Fe25519::Mul(un, z), root));
-    z = Fe25519::Mul(beta, z);
+    Fe25519 s_other = Fe25519::Sub(l.un, l.q);
+    wn = Fe25519::Add(Fe25519::Mul(beta, s_other), Fe25519::Mul(Fe25519::Mul(l.un, l.z), root));
+    l.z = Fe25519::Mul(beta, l.z);
   }
   // The roots of w^2 - s w + 1 multiply to 1, so w = 0 cannot come out of a
   // curve point; it is still rejected, as it would make level 2 vacuous.
   if (wn.IsZero()) {
-    return false;
+    return LaneStatus::kReject;
   }
+  l.wn = wn;
+  l.radicand = InTwiceRadicand(wn, l.z);
+  return LaneStatus::kLive;
+}
 
-  // Level 2: the half is in 2E.
-  auto q2 = Fe25519::Add(Fe25519::Add(Fe25519::Square(wn), Fe25519::Square(z)),
-                         Fe25519::Mul(kA, Fe25519::Mul(wn, z)))
-                .Sqrt();
+// Level 2 holds if the radicand has a root q2. Level 3: the rational
+// quarter w' is a square, i.e. chi(s' + 2) = 1 for the s' whose s'^2 - 4 is
+// a square. Take s' = 2 s1 / z, s1 = wn + q2. If s' is that root, the test
+// is chi(s'^2 - 4) = chi(s' + 2) = 1; if the other root s'' is, then
+// chi(s'^2 - 4) = -1 and chi(s'' + 2) = chi(w) chi(A - 2) chi(s' + 2) =
+// -chi(s' + 2), as w is a square (level 2) and A - 2 is not. Both cases
+// read chi(s'^2 - 4) = chi(s' + 2), i.e. chi(s' - 2) = 1, i.e.
+// chi(2 (s1 - z) z) = 1: one Legendre symbol, the last step.
+LaneStatus LevelTwoStep(DecodeLane& l, const Fe25519& pow) {
+  auto q2 = l.radicand.SqrtGivenPow(pow);
   if (!q2.has_value()) {
-    return false;
+    return LaneStatus::kReject;
   }
+  Fe25519 d = Fe25519::Sub(Fe25519::Add(l.wn, *q2), l.z);
+  l.radicand = Fe25519::Mul(Fe25519::Add(d, d), l.z);
+  return LaneStatus::kLive;
+}
 
-  // Level 3: the rational quarter w' is a square, i.e. chi(s' + 2) = 1 for
-  // the s' whose s'^2 - 4 is a square. Take s' = 2 s1 / z, s1 = wn + q2. If
-  // s' is that root, the test is chi(s'^2 - 4) = chi(s' + 2) = 1; if the
-  // other root s'' is, then chi(s'^2 - 4) = -1 and
-  // chi(s'' + 2) = chi(w) chi(A - 2) chi(s' + 2) = -chi(s' + 2), as w is a
-  // square (level 2) and A - 2 is not. Both cases read
-  // chi(s'^2 - 4) = chi(s' + 2), i.e. chi(s' - 2) = 1, i.e.
-  // chi(2 (s1 - z) z) = 1: one Legendre symbol.
-  Fe25519 d = Fe25519::Sub(Fe25519::Add(wn, *q2), z);
-  return Fe25519::Mul(Fe25519::Add(d, d), z).IsSquare();
+LaneStatus LevelThreeStep(DecodeLane& l, const Fe25519& pow) {
+  return l.radicand.IsSquareGivenPow(pow) ? LaneStatus::kAccept : LaneStatus::kReject;
+}
+
+// The subgroup check's four exponentiations, from BeginHalving.
+template <size_t kLanes>
+void RunHalving(DecodeLane* lanes, LaneStatus* status, size_t n) {
+  RunStep<kLanes, LevelOneStep>(lanes, status, n);
+  RunStep<kLanes, HalfStep>(lanes, status, n);
+  RunStep<kLanes, LevelTwoStep>(lanes, status, n);
+  RunStep<kLanes, LevelThreeStep>(lanes, status, n);
+}
+
+// Strict decode of in[0..m), m <= kLanes, into the lanes' verdicts and
+// points: decompression's exponentiation, then the subgroup check's. Scratch
+// is sized by kLanes, so a single Decode pays for one lane.
+template <size_t kLanes>
+void DecodeLanes(const BytesView* in, size_t m, std::array<DecodeLane, kLanes>& lanes,
+                 std::array<LaneStatus, kLanes>& status) {
+  for (size_t i = 0; i < m; ++i) {
+    status[i] = BeginDecompress(in[i], lanes[i]) ? LaneStatus::kLive : LaneStatus::kReject;
+  }
+  RunStep<kLanes, DecodeStep>(lanes.data(), status.data(), m);
+  RunHalving<kLanes>(lanes.data(), status.data(), m);
 }
 
 }  // namespace
@@ -301,40 +446,11 @@ std::vector<Bytes> Ed25519Group::EncodeBatch(const std::vector<Element>& es) {
 }
 
 std::optional<GePoint> Ed25519Group::Decompress(BytesView bytes) {
-  if (bytes.size() != kElementSize) {
+  DecodeLane lane;
+  if (!BeginDecompress(bytes, lane) || !FinishDecompress(lane, lane.radicand.PowP58())) {
     return std::nullopt;
   }
-  // On the stack: bulk decodes run this on pool workers, which must not
-  // allocate (see ElementBlobs::Decode in src/group/group.h).
-  std::array<uint8_t, kElementSize> y_bytes{};
-  std::copy(bytes.begin(), bytes.end(), y_bytes.begin());
-  bool sign = (y_bytes[31] & 0x80) != 0;
-  y_bytes[31] &= 0x7f;
-  auto y = Fe25519::FromBytes(y_bytes);
-  if (!y.has_value()) {
-    return std::nullopt;
-  }
-  // x^2 = (y^2 - 1) / (d y^2 + 1); SqrtRatio finds x with one exponentiation
-  // and its success is exactly the on-curve condition.
-  Fe25519 yy = Fe25519::Square(*y);
-  Fe25519 u = Fe25519::Sub(yy, Fe25519::One());
-  Fe25519 v = Fe25519::Add(Fe25519::Mul(D(), yy), Fe25519::One());
-  auto x = Fe25519::SqrtRatio(u, v);
-  if (!x.has_value()) {
-    return std::nullopt;
-  }
-  if (x->IsZero() && sign) {
-    return std::nullopt;  // -0 is not a valid encoding
-  }
-  if (x->IsNegative() != sign) {
-    *x = Fe25519::Neg(*x);
-  }
-  GePoint p;
-  p.x = *x;
-  p.y = *y;
-  p.z = Fe25519::One();
-  p.t = Fe25519::Mul(*x, *y);
-  return p;
+  return lane.Point();
 }
 
 bool Ed25519Group::InSubgroup(const Element& e) {
@@ -343,19 +459,37 @@ bool Ed25519Group::InSubgroup(const Element& e) {
     return p.y == p.z;  // (0, 1) is the identity; (0, -1) has order 2
   }
   // Montgomery u = (1 + y) / (1 - y), kept as the fraction (z + y) / (z - y).
-  return HalvesThreeTimes(Fe25519::Add(p.z, p.y), Fe25519::Sub(p.z, p.y));
+  DecodeLane lane;
+  BeginHalving(lane, Fe25519::Add(p.z, p.y), Fe25519::Sub(p.z, p.y));
+  LaneStatus status = LaneStatus::kLive;
+  RunHalving<1>(&lane, &status, 1);
+  return status == LaneStatus::kAccept;
+}
+
+void Ed25519Group::DecodeBatch(const BytesView* in, size_t n, Element* const* out, bool* ok) {
+  constexpr size_t kLanes = 8;  // one IFMA vector
+  for (size_t base = 0; base < n; base += kLanes) {
+    const size_t m = std::min(kLanes, n - base);
+    std::array<DecodeLane, kLanes> lanes;
+    std::array<LaneStatus, kLanes> status{};
+    DecodeLanes(in + base, m, lanes, status);
+    for (size_t i = 0; i < m; ++i) {
+      ok[base + i] = status[i] == LaneStatus::kAccept;
+      if (ok[base + i]) {
+        *out[base + i] = Element(lanes[i].Point());
+      }
+    }
+  }
 }
 
 std::optional<Ed25519Group::Element> Ed25519Group::Decode(BytesView bytes) {
-  auto p = Decompress(bytes);
-  if (!p.has_value()) {
+  std::array<DecodeLane, 1> lane;
+  std::array<LaneStatus, 1> status{};
+  DecodeLanes(&bytes, 1, lane, status);
+  if (status[0] != LaneStatus::kAccept) {
     return std::nullopt;
   }
-  Element e(*p);
-  if (!InSubgroup(e)) {
-    return std::nullopt;
-  }
-  return e;
+  return Element(lane[0].Point());
 }
 
 Ed25519Group::Element Ed25519Group::HashToGroup(BytesView domain, BytesView msg) {

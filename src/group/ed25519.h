@@ -16,9 +16,17 @@
 //     halving is a square-root test on the Montgomery u-coordinate, so the
 //     check costs 4 field exponentiations (~254 squarings each) instead of
 //     the ~252 point doublings of [l]P. The argument and the formulas are at
-//     HalvesThreeTimes in ed25519.cc.
-// Decode and InSubgroup are variable-time. They only ever see public
-// encodings -- transcripts, uploads, wire frames -- never a secret.
+//     the lockstep decoder in ed25519.cc.
+// So a decode is five exponentiations to (p-5)/8 with a little scalar work
+// between them. DecodeBatch runs up to eight encodings through those five
+// phases together: after each phase every lane does its own scalar checks
+// and a lane that fails drops out, and before each phase one
+// Fe25519::PowP58Batch raises the radicands of every live lane -- eight
+// lanes per AVX-512 IFMA vector where the CPU has it, four interleaved
+// scalar chains elsewhere (see ed25519_field.h). Decode is the same steps
+// on one lane; the bulk parsers reach DecodeBatch through ElementBlobs.
+// Decode, DecodeBatch and InSubgroup are variable-time. They only ever see
+// public encodings -- transcripts, uploads, wire frames -- never a secret.
 #ifndef SRC_GROUP_ED25519_H_
 #define SRC_GROUP_ED25519_H_
 
@@ -111,6 +119,10 @@ class Ed25519Group {
   static std::vector<Bytes> EncodeBatch(const std::vector<Element>& es);
   // Strict decode: canonical encoding, on curve, and in the order-l subgroup.
   static std::optional<Element> Decode(BytesView bytes);
+  // Decode of in[0..n) in lockstep, eight at a time: ok[i] says whether
+  // in[i] decodes, and if so *out[i] is its element (else *out[i] is left
+  // as it was). Allocates nothing. Decode is the same steps on one lane.
+  static void DecodeBatch(const BytesView* in, size_t n, Element* const* out, bool* ok);
 
   // Order divides l, by three point halvings (see the file comment).
   static bool InSubgroup(const Element& e);

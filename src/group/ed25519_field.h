@@ -9,6 +9,15 @@
 // point formulas in ed25519.cc compile into straight-line uint128 arithmetic
 // instead of per-operation function calls; everything cold (codec, Pow, Sqrt)
 // stays in ed25519_field.cc.
+//
+// PowP58Batch raises many independent inputs to (p-5)/8 at once, the one
+// exponentiation behind Sqrt, SqrtRatio and IsSquare, so that a strict point
+// decoder can run many encodings in lockstep. Its kernel is chosen once per
+// process from CPUID, as SHA-256's is: eight lanes of radix-2^51 limbs in
+// AVX-512 IFMA registers when the CPU reports IFMA and the OS saves the ZMM
+// state, else four interleaved scalar chains. Both give the same field
+// elements; the portable one is also the oracle the kernel test checks the
+// vector one against.
 #ifndef SRC_GROUP_ED25519_FIELD_H_
 #define SRC_GROUP_ED25519_FIELD_H_
 
@@ -116,6 +125,10 @@ class Fe25519 {
   // IsSquare.
   Fe25519 PowP58() const;
 
+  // out[i] = in[i]^((p-5)/8) for i < n, on the kernel named by
+  // fe25519_internal::BatchKernelName(). `in` and `out` may alias.
+  static void PowP58Batch(const Fe25519* in, Fe25519* out, size_t n);
+
   // Square root if one exists (p = 5 mod 8 method: a^((p+3)/8), fixed up
   // by sqrt(-1)). Returns nullopt for non-residues. The returned root is the
   // principal one; callers pick sign.
@@ -129,6 +142,17 @@ class Fe25519 {
   // Euler's criterion a^((p-1)/2) != -1: true for zero and for every
   // quadratic residue. Costs one PowP58.
   bool IsSquare() const;
+
+  // The steps of Sqrt, SqrtRatio and IsSquare that follow their one
+  // exponentiation, for callers that raise many radicands in one
+  // PowP58Batch. `pow` is the PowP58 of the radicand: *this for SqrtGivenPow
+  // and IsSquareGivenPow, u v^7 (from SqrtRatioRadicand) for
+  // SqrtRatioGivenPow, whose uv3 is u v^3.
+  std::optional<Fe25519> SqrtGivenPow(const Fe25519& pow) const;
+  bool IsSquareGivenPow(const Fe25519& pow) const;
+  static Fe25519 SqrtRatioRadicand(const Fe25519& u, const Fe25519& v, Fe25519* uv3);
+  static std::optional<Fe25519> SqrtRatioGivenPow(const Fe25519& u, const Fe25519& v,
+                                                  const Fe25519& uv3, const Fe25519& pow);
 
   // sqrt(-1) = 2^((p-1)/4).
   static const Fe25519& SqrtM1();
@@ -152,6 +176,19 @@ class Fe25519 {
   static Fe25519 FromBigInt(const BigInt<4>& v);  // value must be < p
 
   static const BigInt<4>& P();  // 2^255 - 19
+
+  // The radix-2^51 limbs, least significant first. FromLimbs takes limbs up
+  // to the loose bound kLooseLimb, the most any kernel leaves or accepts
+  // (see v_ below); the batch kernels convert through these.
+  static constexpr uint64_t kLooseLimb = (uint64_t{1} << 51) + (uint64_t{1} << 14);
+  static Fe25519 FromLimbs(const std::array<uint64_t, 5>& limbs) {
+    Fe25519 r;
+    for (int i = 0; i < 5; ++i) {
+      r.v_[i] = limbs[i];
+    }
+    return r;
+  }
+  std::array<uint64_t, 5> Limbs() const { return {v_[0], v_[1], v_[2], v_[3], v_[4]}; }
 
  private:
   static constexpr uint64_t kMask51 = (uint64_t{1} << 51) - 1;
@@ -218,6 +255,31 @@ class Fe25519 {
   // Only ToBytes reduces strictly, to limbs < 2^51 and a value < p.
   uint64_t v_[5];
 };
+
+// The two PowP58Batch kernels, for the kernel test and the group-ops bench.
+// Each computes out[i] = in[i]^((p-5)/8) for i < n from inputs whose limbs
+// are below Fe25519::kLooseLimb; `in` and `out` may alias.
+namespace fe25519_internal {
+
+// Four independent Fe25519 chains interleaved (fewer for a tail).
+void PowP58Portable(const Fe25519* in, Fe25519* out, size_t n);
+
+// Null when the CPU reports AVX-512F and AVX-512 IFMA and the OS saves the
+// opmask and ZMM registers (XGETBV), so PowP58Ifma may run; else the first
+// missing piece: "x86-64", "osxsave", "avx512f", "avx512ifma" or
+// "zmm-state".
+const char* MissingIfmaFeature();
+inline bool HasIfma() { return MissingIfmaFeature() == nullptr; }
+
+#if defined(__x86_64__)
+// Eight lanes per AVX-512 IFMA vector; a short tail pads its vector.
+void PowP58Ifma(const Fe25519* in, Fe25519* out, size_t n);
+#endif
+
+// "ifma8" or "portable4": the kernel PowP58Batch runs on this CPU.
+const char* BatchKernelName();
+
+}  // namespace fe25519_internal
 
 }  // namespace vdp
 

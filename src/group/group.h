@@ -10,7 +10,7 @@
 #ifndef SRC_GROUP_GROUP_H_
 #define SRC_GROUP_GROUP_H_
 
-#include <atomic>
+#include <algorithm>
 #include <concepts>
 #include <optional>
 #include <string>
@@ -67,7 +67,8 @@ concept GroupScalar = requires(const S& s, SecureRng& rng, BytesView bytes) {
 template <typename G>
 concept PrimeOrderGroup =
     GroupScalar<typename G::Scalar> &&
-    requires(const typename G::Element& e, const typename G::Scalar& s, BytesView bytes) {
+    requires(const typename G::Element& e, const typename G::Scalar& s, BytesView bytes,
+             typename G::Element* const* slots, bool* ok) {
       { G::Name() } -> std::convertible_to<std::string>;
       { G::Identity() } -> std::same_as<typename G::Element>;
       { G::Generator() } -> std::same_as<typename G::Element>;
@@ -77,6 +78,7 @@ concept PrimeOrderGroup =
       { G::Inverse(e) } -> std::same_as<typename G::Element>;
       { G::Encode(e) } -> std::same_as<Bytes>;
       { G::Decode(bytes) } -> std::same_as<std::optional<typename G::Element>>;
+      { G::DecodeBatch(&bytes, size_t{}, slots, ok) } -> std::same_as<void>;
       { G::HashToGroup(bytes, bytes) } -> std::same_as<typename G::Element>;
       { e == e } -> std::convertible_to<bool>;
       { G::Accel::Lower(G::Accel::Lift(e)) } -> std::same_as<typename G::Element>;
@@ -144,6 +146,10 @@ inline constexpr size_t kScalarBlobBytes = Reader::kMinBlobBytes + G::Scalar::kE
 template <PrimeOrderGroup G>
 class ElementBlobs {
  public:
+  // Entries go to G::DecodeBatch, and to the pool, this many at a time: one
+  // ed25519 batch fills an eight-lane vector per exponentiation.
+  static constexpr size_t kDecodeChunk = 8;
+
   // `blob` must outlive the decode; `slot` must be an element that already
   // exists, for the decode only overwrites it.
   void Add(BytesView blob, typename G::Element* slot) {
@@ -152,30 +158,37 @@ class ElementBlobs {
   }
   size_t size() const { return blobs_.size(); }
 
-  // Strictly decodes (G::Decode, subgroup check included) entries [from, to)
-  // into their slots, on `pool` when there is one and inline otherwise, and
-  // reports whether every one decoded. Workers only overwrite fixed-size
-  // slots, so nothing is allocated off the calling thread. After a failure
-  // the slots hold unspecified elements.
+  // Strictly decodes (G::DecodeBatch, subgroup check included) entries
+  // [from, to) into their slots, on `pool` when there is one and inline
+  // otherwise, and sets failed[i - from] to 1 for each entry that did not
+  // decode and to 0 for the rest. Workers only overwrite fixed-size slots and
+  // verdicts and keep their scratch on the stack, so nothing is allocated
+  // off the calling thread. A failed entry's slot holds an unspecified
+  // element.
   //
   // Never call this from inside a task running on `pool` -- in particular,
   // never with GlobalPool() from a GlobalPool task: ParallelFor from one of
   // the pool's own workers waits for shards queued behind it and can
   // deadlock.
-  bool Decode(size_t from, size_t to, ThreadPool* pool) const {
-    std::atomic<bool> ok{true};
-    ForEachIndex(pool, to - from, [&](size_t i) {
-      if (!ok.load(std::memory_order_relaxed)) {
-        return;  // the answer is already no
-      }
-      auto e = G::Decode(blobs_[from + i]);
-      if (e.has_value()) {
-        *slots_[from + i] = *e;
-      } else {
-        ok.store(false, std::memory_order_relaxed);
+  void DecodeEach(size_t from, size_t to, ThreadPool* pool, uint8_t* failed) const {
+    const size_t chunks = (to - from + kDecodeChunk - 1) / kDecodeChunk;
+    ForEachIndex(pool, chunks, [&](size_t c) {
+      const size_t lo = from + c * kDecodeChunk;
+      const size_t n = std::min(kDecodeChunk, to - lo);
+      bool ok[kDecodeChunk] = {};
+      G::DecodeBatch(blobs_.data() + lo, n, slots_.data() + lo, ok);
+      for (size_t i = 0; i < n; ++i) {
+        failed[lo - from + i] = ok[i] ? 0 : 1;
       }
     });
-    return ok.load(std::memory_order_relaxed);
+  }
+
+  // Whether every entry in [from, to) decoded (DecodeEach's verdicts,
+  // folded). After a failure the slots hold unspecified elements.
+  bool Decode(size_t from, size_t to, ThreadPool* pool) const {
+    std::vector<uint8_t> failed(to - from);
+    DecodeEach(from, to, pool, failed.data());
+    return std::none_of(failed.begin(), failed.end(), [](uint8_t f) { return f != 0; });
   }
   bool Decode(ThreadPool* pool) const { return Decode(0, size(), pool); }
 

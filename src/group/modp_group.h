@@ -110,6 +110,17 @@ class ModPGroup {
     return e;
   }
 
+  // Decode of in[0..n), one at a time (see Ed25519Group::DecodeBatch).
+  static void DecodeBatch(const BytesView* in, size_t n, Element* const* out, bool* ok) {
+    for (size_t i = 0; i < n; ++i) {
+      auto e = Decode(in[i]);
+      ok[i] = e.has_value();
+      if (ok[i]) {
+        *out[i] = *e;
+      }
+    }
+  }
+
   // Membership test: e^q == 1 (q is the subgroup order).
   static bool InSubgroup(const Element& e) {
     return PCtx().template ExpMod<QL>(e.v_, Params().q) == BigInt<L>::One();

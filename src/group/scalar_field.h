@@ -8,6 +8,7 @@
 #ifndef SRC_GROUP_SCALAR_FIELD_H_
 #define SRC_GROUP_SCALAR_FIELD_H_
 
+#include <array>
 #include <optional>
 
 #include "src/common/rng.h"
@@ -130,6 +131,10 @@ class ScalarField {
   friend bool operator!=(const ScalarField& a, const ScalarField& b) { return a.v_ != b.v_; }
 
   Bytes Encode() const { return v_.ToBytesBe(); }
+
+  // The same bytes in a fixed-size array, for callers that hash scalars
+  // without a heap buffer per scalar.
+  std::array<uint8_t, kEncodedSize> EncodeArray() const { return v_.ToArrayBe(); }
 
   // Strict decoding: fixed width and fully reduced.
   static std::optional<ScalarField> Decode(BytesView bytes) {

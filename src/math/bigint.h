@@ -140,8 +140,8 @@ struct BigInt {
   }
 
   // Big-endian fixed-width byte encoding (kBytes bytes).
-  Bytes ToBytesBe() const {
-    Bytes out(kBytes);
+  std::array<uint8_t, kBytes> ToArrayBe() const {
+    std::array<uint8_t, kBytes> out;
     for (size_t i = 0; i < L; ++i) {
       uint64_t w = limb[L - 1 - i];
       for (int b = 0; b < 8; ++b) {
@@ -149,6 +149,10 @@ struct BigInt {
       }
     }
     return out;
+  }
+  Bytes ToBytesBe() const {
+    const std::array<uint8_t, kBytes> out = ToArrayBe();
+    return Bytes(out.begin(), out.end());
   }
 
   // Parses big-endian bytes; fails if the value needs more than kBytes bytes.

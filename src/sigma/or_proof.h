@@ -64,10 +64,10 @@ struct OrProof {
     };
     blob(a0_encoded);
     blob(a1_encoded);
-    blob(e0.Encode());
-    blob(e1.Encode());
-    blob(z0.Encode());
-    blob(z1.Encode());
+    for (const typename G::Scalar* s : {&e0, &e1, &z0, &z1}) {
+      const auto encoded = s->EncodeArray();
+      blob(BytesView(encoded.data(), encoded.size()));
+    }
   }
 
   static constexpr size_t SerializedSize(size_t a0_size, size_t a1_size) {

@@ -6,6 +6,7 @@
 #ifndef SRC_WIRE_WIRE_CONVERT_H_
 #define SRC_WIRE_WIRE_CONVERT_H_
 
+#include <algorithm>
 #include <bit>
 #include <string>
 #include <utility>
@@ -91,30 +92,36 @@ WireShardTask MakeShardTask(const Sha256::Digest& params_digest, size_t shard_in
 namespace convert_internal {
 
 // UploadsFromWire with the element decode on `pool` (inline when null):
-// every upload is framed on the calling thread, then each upload that framed
-// has its element range decoded, one upload per pool index. Uploads that
-// fail either pass are emptied only afterwards, so no slot dangles.
+// every upload is framed on the calling thread, then the elements of all of
+// them are decoded together, in chunks that run across upload boundaries
+// (an upload holds too few elements to fill a decode batch). An upload is
+// emptied if it failed to frame or owns an element that failed to decode,
+// only after the decode, so no slot dangles.
 template <PrimeOrderGroup G>
 std::vector<ClientUploadMsg<G>> UploadsFromWire(const WireShardTask& task, ThreadPool* pool) {
   const size_t n = task.uploads.size();
   std::vector<ClientUploadMsg<G>> uploads(n);
   ElementBlobs<G> elements;
   std::vector<size_t> starts(n + 1);  // upload i's elements: [starts[i], starts[i + 1])
-  std::vector<uint8_t> bad(n, 0);
+  std::vector<size_t> unframed;
   for (size_t i = 0; i < n; ++i) {
     starts[i] = elements.size();
-    bad[i] = uploads[i].Frame(task.uploads[i], &elements) ? 0 : 1;
+    if (!uploads[i].Frame(task.uploads[i], &elements)) {
+      unframed.push_back(i);
+    }
   }
   starts[n] = elements.size();
-  ForEachIndex(pool, n, [&](size_t i) {
-    if (bad[i] == 0 && !elements.Decode(starts[i], starts[i + 1], /*pool=*/nullptr)) {
-      bad[i] = 1;
-    }
-  });
+  std::vector<uint8_t> failed(elements.size());
+  elements.DecodeEach(0, elements.size(), pool, failed.data());
   for (size_t i = 0; i < n; ++i) {
-    if (bad[i] != 0) {
+    if (std::any_of(failed.begin() + static_cast<std::ptrdiff_t>(starts[i]),
+                    failed.begin() + static_cast<std::ptrdiff_t>(starts[i + 1]),
+                    [](uint8_t f) { return f != 0; })) {
       uploads[i] = ClientUploadMsg<G>{};
     }
+  }
+  for (size_t i : unframed) {
+    uploads[i] = ClientUploadMsg<G>{};
   }
   return uploads;
 }
@@ -122,7 +129,7 @@ std::vector<ClientUploadMsg<G>> UploadsFromWire(const WireShardTask& task, Threa
 }  // namespace convert_internal
 
 // Decodes a task's uploads, their elements on GlobalPool() (see
-// ElementBlobs::Decode: not from inside a GlobalPool task). A malformed
+// ElementBlobs::DecodeEach: not from inside a GlobalPool task). A malformed
 // upload is NOT an error at this layer: the verifier's structural pass is
 // the protocol's arbiter of bad uploads, so undecodable bytes map to an
 // upload that fails that pass (empty ClientUploadMsg), keeping the rejection
